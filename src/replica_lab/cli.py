@@ -58,6 +58,7 @@ _DECAY_GRID_POINTS = 201
 _REPLICA_VS_CLOSED_TOL = 1e-8
 _MOMENT_DEVIATION_TOL = 1e-7
 _SYMMETRY_DEFECT_TOL = 1e-9
+_MOMENTS_MAX_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,7 @@ def _resolve_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     out_dir = pick("out-dir")
     if out_dir is None:
         raise CliError("--out-dir is required (flag or config file)")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         experiment=command,
         gamma=gamma,
         delta=delta,
@@ -251,6 +252,32 @@ def _resolve_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
         state_a=pick("state-a"),
         state_b=pick("state-b"),
     )
+    _check_inputs(cfg)
+    return cfg
+
+
+def _check_inputs(cfg: ExperimentConfig) -> None:
+    """Reject invalid inputs before a command creates its output directory."""
+    if cfg.experiment == "moments":
+        if not 1 <= cfg.max_order <= _MOMENTS_MAX_ORDER:
+            raise CliError(f"max-order must be in 1..{_MOMENTS_MAX_ORDER}")
+        return
+    _sim_config(cfg)  # SimConfig checks dt, t-final, trajectories and seed
+    if cfg.experiment == "dist":
+        if cfg.bins < 2:
+            raise CliError("bins must be >= 2")
+        if _dist_moment_order(cfg) < 1:
+            raise CliError("max-order must be >= -1 (dist reports min(max-order + 2, 6) moments)")
+    if cfg.experiment in ("sense", "pulse"):
+        _state_from(cfg.state_a)
+    if cfg.experiment == "sense":
+        _state_from(cfg.state_b)
+    if cfg.experiment == "pulse":
+        PulseSpec(delta_phi=cfg.phi, t0=cfg.t0)
+
+
+def _dist_moment_order(cfg: ExperimentConfig) -> int:
+    return min(cfg.max_order + 2, 6)
 
 
 def _prepare_out_dir(cfg: ExperimentConfig) -> Path:
@@ -347,8 +374,6 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
     started = _utc_now()
     out = _prepare_out_dir(cfg)
     params = cfg.params
-    if not 1 <= cfg.max_order <= 6:
-        raise CliError("max-order must be in 1..6")
     initial = SpinState.localized(WellLabel.LEFT)
 
     entries = []
@@ -415,7 +440,7 @@ def cmd_dist(cfg: ExperimentConfig) -> int:
             [_fmt(hist.edges[i]), _fmt(hist.edges[i + 1]), int(hist.counts[i]), _fmt(hist.densities[i])]
         )
 
-    reports = moments(samples, max_order=min(cfg.max_order + 2, 6))
+    reports = moments(samples, max_order=_dist_moment_order(cfg))
     crosses = [cross_moment(samples, 1, 1), cross_moment(samples, 2, 1)]
     payload = {
         "n_samples": samples.size,
@@ -514,10 +539,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("decay", parents=[shared], help="survival-probability decay curves")
     p_moments = sub.add_parser("moments", parents=[shared], help="stationary replica moments")
-    p_moments.add_argument("--max-order", type=int, default=None, help="highest pure moment (<= 6)")
+    p_moments.add_argument(
+        "--max-order", type=int, default=None, help=f"highest pure moment (<= {_MOMENTS_MAX_ORDER})"
+    )
     p_dist = sub.add_parser("dist", parents=[shared], help="stationary distribution evidence")
     p_dist.add_argument("--bins", type=int, default=None, help="histogram bins")
-    p_dist.add_argument("--max-order", type=int, default=None, help="highest pure moment (<= 4)")
+    p_dist.add_argument(
+        "--max-order", type=int, default=None,
+        help="pure moments are reported up to min(max-order + 2, 6)",
+    )
     p_sense = sub.add_parser("sense", parents=[shared], help="initial-state sensitivity")
     p_sense.add_argument("--state-a", type=str, default=None, help="a_re,a_im,b_re,b_im")
     p_sense.add_argument("--state-b", type=str, default=None, help="a_re,a_im,b_re,b_im")

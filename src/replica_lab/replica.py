@@ -11,8 +11,19 @@ the 4^n-dimensional tensor space of pair states.  The generator splits into
     single-pair jump matrix.
 
 Finite-time moments are contractions of exp(G t) applied to a product initial
-vector; stationary moments come from the spectral projector onto the zero
-eigenspace of G (equivalently the zero-frequency residue of the resolvent).
+vector; stationary moments come from the projector onto the null space of G.
+Write G = -gamma Z^2 + (i delta / 2) X with Z the real diagonal of total
+ket-bra separations and X the real symmetric tunneling matrix.  Then
+Re(v^H G v) = -gamma |Z v|^2, so for gamma, delta > 0 the null space is
+ker Z cap ker X: real, independent of gamma and delta, and supported on the
+zero-separation coordinates S.  With R and L real bases of the right and left
+null spaces, the projector is P0 = R (L^T R)^-1 L^T, found from X[:, S] and
+X^T[:, S] alone, without eigenvectors.  It therefore stays well-conditioned
+at gamma = 2 delta, where the transient block of G is defective.
+
+MomentSpec moments use the replica-permutation-symmetric sector (dimension
+C(n+3, 3) instead of 4^n); the dense generator serves mixed initial states,
+the spectrum, and the "eig" and "resolvent" cross-checks.
 
 Pair-state ordering is fixed as (ket, bra) = (L,L), (L,R), (R,L), (R,R) with
 indices 0..3 and ket-bra separations 0, -1, +1, 0.  Multi-pair indices are
@@ -31,12 +42,16 @@ import scipy.linalg
 
 from .model import ModelParams, SpinState, WellLabel
 
-# Largest supported replica count; dim 4^6 = 4096 keeps dense linear algebra
-# workable while extending the stationary-moment evidence past fourth order.
+# Largest replica count of the dense generator; dim 4^6 = 4096 keeps dense
+# linear algebra workable.
 N_MAX = 6
 
+# Largest replica count of the symmetric sector (dim C(23, 3) = 1771 at 20),
+# the order cap of model.beta_cross_moment.
+SECTOR_N_MAX = 20
+
 # Eigenvalues with |mu| below this times max(gamma, delta) count as the
-# stationary (zero) eigenspace.
+# stationary (zero) eigenspace of the "eig" cross-check and of the decay rates.
 ZERO_EIG_REL_CUTOFF = 1e-10
 
 _REAL_TOL_FINITE = 1e-9
@@ -165,13 +180,17 @@ def build_generator(n: int, params: ModelParams) -> ReplicaGenerator:
     return ReplicaGenerator(n_pairs=n, params=params, dephasing_diag=dephasing, jump=jump)
 
 
+def _check_time(t: float) -> None:
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"time must be finite and >= 0, got {t!r}")
+
+
 def evolve(gen: ReplicaGenerator, v0: np.ndarray, t: float) -> np.ndarray:
     """Propagate a coefficient vector: exp(G t) @ v0."""
     v0 = np.asarray(v0, dtype=complex)
     if v0.shape != (gen.dim,):
         raise ValueError(f"vector has shape {v0.shape}, generator dim is {gen.dim}")
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
+    _check_time(t)
     if t == 0.0:
         return v0.copy()
     return scipy.linalg.expm(gen.matrix() * t) @ v0
@@ -237,21 +256,88 @@ def _as_probability(value: complex, tol: float) -> float:
     return min(1.0, max(0.0, value.real))
 
 
+def _symmetric_sector(n: int) -> tuple[list, dict, np.ndarray, np.ndarray]:
+    """Replica-permutation-symmetric sector: basis, separations and real jump matrix.
+
+    Basis: occupation tuples (n0, n1, n2, n3) over the four pair states, one
+    coefficient per tuple; dimension C(n+3, 3) instead of 4^n.  Valid whenever
+    the initial vector is a tensor power and the selector is contracted against
+    a permutation-invariant evolution, which holds for every MomentSpec.  The
+    generator is diag(-gamma * xi^2) + (i*delta/2) * jump, xi = n2 - n1.
+    """
+    if not 1 <= n <= SECTOR_N_MAX:
+        raise ValueError(f"replica count must be in 1..{SECTOR_N_MAX}, got {n}")
+    occupations = [
+        (i, j, k, n - i - j - k)
+        for i in range(n + 1)
+        for j in range(n + 1 - i)
+        for k in range(n + 1 - i - j)
+    ]
+    index = {occ: pos for pos, occ in enumerate(occupations)}
+    xi = np.array([occ[2] - occ[1] for occ in occupations], dtype=float)
+    lam = pair_jump_matrix()
+    jump = np.zeros((len(occupations), len(occupations)))
+    for occ, col in index.items():
+        for src in range(4):
+            if occ[src] == 0:
+                continue
+            for dst in range(4):
+                if lam[dst, src] == 0.0:
+                    continue
+                moved = list(occ)
+                moved[src] -= 1
+                moved[dst] += 1
+                jump[index[tuple(moved)], col] += lam[dst, src] * moved[dst]
+    return occupations, index, xi, jump
+
+
+def _sector_vectors(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Sector separations, generator jump, initial coefficients and selected row."""
+    occupations, index, xi, jump = _symmetric_sector(spec.n_pairs)
+    init = pair_initial_vector(spec.initial_state)
+    coeffs = np.prod(init ** np.array(occupations), axis=1)
+    return xi, jump, coeffs, index[(spec.n_left, 0, 0, spec.n_right)]
+
+
 def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float:
     """<product of final-well probabilities> at time t, exact to solver tolerance."""
-    gen = build_generator(spec.n_pairs, params)
-    v0, sel = _spec_vectors(spec)
-    value = sel @ evolve(gen, v0, t)
+    _check_time(t)
+    xi, jump, coeffs, row = _sector_vectors(spec)
+    if t == 0.0:
+        return _as_probability(coeffs[row], _REAL_TOL_FINITE)
+    gen = 0.5j * params.delta * jump
+    gen[np.diag_indices_from(gen)] -= params.gamma * xi**2
+    value = scipy.linalg.expm(gen * t)[row] @ coeffs
     return _as_probability(value, _REAL_TOL_FINITE)
+
+
+def _require_stationary(params: ModelParams) -> None:
+    if params.gamma == 0.0 or params.delta == 0.0:
+        raise NoStationaryLimitError(
+            "no stationary limit: dynamics is oscillatory (gamma=0) or frozen (delta=0)"
+        )
+
+
+def _null_basis(block: np.ndarray) -> np.ndarray:
+    """Orthonormal real basis of the null space of `block` (all-zero rows dropped)."""
+    return scipy.linalg.null_space(block[np.any(block != 0.0, axis=1)])
+
+
+def _projector_contraction(
+    right: np.ndarray, left: np.ndarray, v0: np.ndarray, sel: np.ndarray
+) -> complex:
+    """sel @ P0 @ v0 with P0 = R (L^T R)^-1 L^T, everything on the coordinates S.
+
+    R and L are bases of the null spaces of X[:, S] and X^T[:, S].
+    """
+    return complex((sel @ right) @ np.linalg.solve(left.T @ right, left.T @ v0))
 
 
 def _zero_cutoff(params: ModelParams) -> float:
     return ZERO_EIG_REL_CUTOFF * max(params.gamma, params.delta)
 
 
-def _stationary_contraction(
-    matrix: np.ndarray, v0: np.ndarray, sel: np.ndarray, cutoff: float
-) -> complex:
+def _eig_contraction(matrix: np.ndarray, v0: np.ndarray, sel: np.ndarray, cutoff: float) -> complex:
     """Contract the spectral projector onto the zero eigenspace: sel @ P0 @ v0."""
     eigvals, eigvecs = np.linalg.eig(matrix)
     mask = np.abs(eigvals) < cutoff
@@ -277,81 +363,47 @@ def _resolvent_contraction(
     return (4.0 * g2 - g1) / 3.0
 
 
-def _symmetric_sector(n: int, params: ModelParams):
-    """Generator restricted to replica-permutation-symmetric coefficient space.
-
-    Basis: occupation tuples (n0, n1, n2, n3) over the four pair states, one
-    coefficient per tuple; dimension C(n+3, 3) instead of 4^n.  Valid whenever
-    the initial vector is a tensor power and the selector is contracted against
-    a permutation-invariant evolution, which holds for every MomentSpec.
-    """
-    occupations = [
-        (i, j, k, n - i - j - k)
-        for i in range(n + 1)
-        for j in range(n + 1 - i)
-        for k in range(n + 1 - i - j)
-    ]
-    index = {occ: pos for pos, occ in enumerate(occupations)}
-    dim = len(occupations)
-    lam = pair_jump_matrix()
-    gen = np.zeros((dim, dim), dtype=complex)
-    for occ, col in index.items():
-        gen[col, col] += -params.gamma * (occ[2] - occ[1]) ** 2
-        for src in range(4):
-            if occ[src] == 0:
-                continue
-            for dst in range(4):
-                if lam[dst, src] == 0.0:
-                    continue
-                moved = list(occ)
-                moved[src] -= 1
-                moved[dst] += 1
-                row = index[tuple(moved)]
-                gen[row, col] += 0.5j * params.delta * lam[dst, src] * moved[dst]
-    return occupations, index, gen
-
-
-def _stationary_moment_reduced(spec: MomentSpec, params: ModelParams) -> complex:
-    occupations, index, gen = _symmetric_sector(spec.n_pairs, params)
-    init = pair_initial_vector(spec.initial_state)
-    coeffs = np.array(
-        [np.prod([init[s] ** occ[s] for s in range(4)]) for occ in occupations], dtype=complex
-    )
-    sel = np.zeros(len(occupations))
-    sel[index[(spec.n_left, 0, 0, spec.n_right)]] = 1.0
-    return _stationary_contraction(gen, coeffs, sel, _zero_cutoff(params))
-
-
 def infinite_time_moment(spec: MomentSpec, params: ModelParams, method: str = "auto") -> float:
     """Stationary limit of :func:`finite_time_moment`.
 
     method:
-      * "eig": spectral projector of the dense 4^n generator (primary).
-      * "reduced": same projector computed in the permutation-symmetric
-        sector, dimension C(n+3, 3); exact for MomentSpec contractions and
-        the only practical route for n >= 5.
-      * "resolvent": small-frequency resolvent residue with Richardson
-        extrapolation (cross-check mirroring the Laplace-domain argument).
-      * "auto": "eig" for n <= 4, "reduced" above.
+      * "auto" or "reduced": null-space projector of the symmetric sector,
+        dimension C(n+3, 3), for n up to SECTOR_N_MAX (primary).
+      * "eig": spectral projector of the dense 4^n generator from its full
+        eigendecomposition (cross-check, n <= N_MAX).
+      * "resolvent": small-frequency resolvent residue of the dense generator
+        with Richardson extrapolation (cross-check mirroring the
+        Laplace-domain argument, n <= N_MAX).
     """
-    if params.gamma == 0.0 or params.delta == 0.0:
-        raise NoStationaryLimitError(
-            "no stationary limit: dynamics is oscillatory (gamma=0) or frozen (delta=0)"
-        )
-    if method == "auto":
-        method = "eig" if spec.n_pairs <= 4 else "reduced"
-    if method == "reduced":
-        value = _stationary_moment_reduced(spec, params)
+    _require_stationary(params)
+    if method in ("auto", "reduced"):
+        xi, jump, coeffs, row = _sector_vectors(spec)
+        zero = np.flatnonzero(xi == 0.0)
+        sel = (zero == row).astype(float)
+        right, left = _null_basis(jump[:, zero]), _null_basis(jump.T[:, zero])
+        value = _projector_contraction(right, left, coeffs[zero], sel)
     elif method in ("eig", "resolvent"):
         gen = build_generator(spec.n_pairs, params)
         v0, sel = _spec_vectors(spec)
         if method == "eig":
-            value = _stationary_contraction(gen.matrix(), v0, sel, _zero_cutoff(params))
+            value = _eig_contraction(gen.matrix(), v0, sel, _zero_cutoff(params))
         else:
             value = _resolvent_contraction(gen.matrix(), v0, sel, max(params.gamma, params.delta))
     else:
         raise ValueError(f"unknown method {method!r}")
     return _as_probability(value, _REAL_TOL_STATIONARY)
+
+
+def _jump_columns(n: int, cols: np.ndarray) -> np.ndarray:
+    """Columns `cols` of the real 4^n tunneling Kronecker sum, built without the rest."""
+    lam = pair_jump_matrix()
+    out = np.zeros((4**n, len(cols)))
+    which = np.arange(len(cols))
+    for k in range(n):
+        digit = (cols // 4**k) % 4
+        for dst in range(4):
+            out[cols + (dst - digit) * 4**k, which] += lam[dst, digit]
+    return out
 
 
 def mixed_initial_moment(
@@ -363,21 +415,21 @@ def mixed_initial_moment(
 
     Generalizes MomentSpec to correlators that pair different initial states
     against the same noise, e.g. the cross term of an initial-state
-    sensitivity experiment.  t=None takes the stationary limit.
+    sensitivity experiment.  t=None takes the stationary limit, from the
+    null space of the dense tunneling matrix on its zero-separation columns.
     """
-    if not 1 <= len(replicas) <= N_MAX:
-        raise ValueError(f"need 1..{N_MAX} replicas, got {len(replicas)}")
+    n = len(replicas)
+    if not 1 <= n <= N_MAX:
+        raise ValueError(f"need 1..{N_MAX} replicas, got {n}")
     v0 = _kron_chain([pair_initial_vector(state) for state, _ in replicas])
     sel = _kron_chain([_selector(well) for _, well in replicas])
-    gen = build_generator(len(replicas), params)
     if t is not None:
-        value = sel @ evolve(gen, v0, t)
+        value = sel @ evolve(build_generator(n, params), v0, t)
         return _as_probability(value, _REAL_TOL_FINITE)
-    if params.gamma == 0.0 or params.delta == 0.0:
-        raise NoStationaryLimitError(
-            "no stationary limit: dynamics is oscillatory (gamma=0) or frozen (delta=0)"
-        )
-    value = _stationary_contraction(gen.matrix(), v0, sel, _zero_cutoff(params))
+    _require_stationary(params)
+    zero = np.flatnonzero(_total_xi_vector(n) == 0.0)
+    basis = _null_basis(_jump_columns(n, zero))  # X is symmetric, so L = R
+    value = _projector_contraction(basis, basis, v0[zero], sel[zero])
     return _as_probability(value, _REAL_TOL_STATIONARY)
 
 

@@ -69,6 +69,9 @@ class SimConfig:
             raise ValueError("n_trajectories must be >= 1")
         if not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
+        if not 0 <= self.seed < 2**64:
+            # the Philox key holds 64 bits; a wider seed would alias another one
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.record_grid is not None:
             times = tuple(float(t) for t in self.record_grid)
             if any(not math.isfinite(t) or t < 0 or t > self.t_final * (1 + 1e-12) for t in times):
@@ -211,8 +214,11 @@ class _StateBlock:
         self.b = np.full(n, complex(initial.amp_right), dtype=complex)
         self.record_steps = record_steps
         self.pulse_boundary = _pulse_boundary(pulse, cfg)
-        # relative phase e^{2i phi}; see PulseSpec
-        self.pulse_phase = cmath.exp(2j * pulse.delta_phi) if pulse else 1.0 + 0.0j
+        # relative phase e^{2i phi}; see PulseSpec.  fmod is exact: phi = +-pi
+        # gives exactly 1, and |phi| < pi is left unchanged.
+        self.pulse_phase = (
+            cmath.exp(2j * math.fmod(pulse.delta_phi, math.pi)) if pulse else 1.0 + 0.0j
+        )
         self.p_rec = np.empty((n, len(record_steps)))
         self.coh_rec = np.empty((n, len(record_steps)), dtype=complex)
         self.drift = np.zeros(n)

@@ -72,6 +72,17 @@ class TestMoments:
         assert values[(5, 0)] == pytest.approx(1 / 6, abs=1e-7)
         assert values[(6, 0)] == pytest.approx(1 / 7, abs=1e-7)
 
+    def test_critical_point_symmetry(self, tmp_path):
+        # gamma = 2 delta makes the transient block defective; the null-space
+        # projector does not see it
+        out = tmp_path / "run"
+        assert run_cli("moments", "--gamma", "2", "--out-dir", str(out)) == 0
+        payload = read_json(out / "moments.json")
+        for entry in payload["moments"]:
+            assert entry["abs_deviation"] <= 1e-12
+        for defect in payload["symmetry_defects"]:
+            assert defect["defect"] < 1e-12
+
 
 class TestDist:
     def test_outputs_and_digests(self, tmp_path):
@@ -181,6 +192,28 @@ class TestConfigHandling:
 
     def test_missing_out_dir_is_error(self, tmp_path):
         assert run_cli("moments") == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--max-order", "9"],
+            ["moments", "--max-order", "0"],
+            ["dist", "--seed", "-1"],
+            ["dist", "--trajectories", "0"],
+            ["dist", "--bins", "1"],
+            ["dist", "--max-order", "-2"],
+            ["sense", "--state-a", "1,0,1,0"],
+            ["pulse", "--t0", "-1"],
+        ],
+        ids=[
+            "max-order-high", "max-order-low", "seed", "trajectories", "bins",
+            "dist-max-order", "state", "t0",
+        ],
+    )
+    def test_invalid_input_creates_no_directory(self, tmp_path, argv):
+        out = tmp_path / "run"
+        assert run_cli(*argv, "--out-dir", str(out)) == 2
+        assert not out.exists()
 
 
 class TestReproducibility:

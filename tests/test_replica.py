@@ -15,10 +15,13 @@ from replica_lab.model import (
     relaxation_times,
 )
 from replica_lab.replica import (
+    SECTOR_N_MAX,
     MomentSpec,
     NoStationaryLimitError,
     PairState,
     ReplicaBasisState,
+    _jump_columns,
+    _spec_vectors,
     build_generator,
     evolve,
     finite_time_moment,
@@ -34,6 +37,48 @@ from replica_lab.replica import (
 
 LEFT = SpinState.localized(WellLabel.LEFT)
 RIGHT = SpinState.localized(WellLabel.RIGHT)
+
+# gamma/delta points: weak noise, generic, critical (defective transient
+# block), strong noise
+RATIOS = (0.05, 1.0, 2.0, 20.0)
+
+
+def _random_state(rng: np.random.Generator) -> SpinState:
+    z = rng.normal(size=4)
+    return SpinState.normalized(complex(z[0], z[1]), complex(z[2], z[3]))
+
+
+def _double_factorial(k: int) -> int:
+    return math.prod(range(k, 0, -2)) if k > 0 else 1
+
+
+def haar_moment(replicas) -> float:
+    """Stationary <prod_k P(state_k -> well_k)> for a final state uniform on the Bloch sphere.
+
+    P(state -> L) = (1 + n.r)/2 with r the state's Bloch vector and n uniform
+    on the unit sphere; E[n_x^i n_y^j n_z^k] = (i-1)!!(j-1)!!(k-1)!!/(i+j+k+1)!!
+    for even powers and 0 otherwise.
+    """
+    poly = {(0, 0, 0): 1.0}
+    for state, well in replicas:
+        a, b = complex(state.amp_left), complex(state.amp_right)
+        coh = a.conjugate() * b
+        bloch = np.array([2.0 * coh.real, 2.0 * coh.imag, abs(a) ** 2 - abs(b) ** 2])
+        r = bloch * (1.0 if well is WellLabel.LEFT else -1.0)
+        grown: dict = {}
+        for powers, coef in poly.items():
+            grown[powers] = grown.get(powers, 0.0) + 0.5 * coef
+            for axis in range(3):
+                bumped = tuple(p + (axis == i) for i, p in enumerate(powers))
+                grown[bumped] = grown.get(bumped, 0.0) + 0.5 * coef * r[axis]
+        poly = grown
+    total = 0.0
+    for powers, coef in poly.items():
+        if all(p % 2 == 0 for p in powers):
+            num = math.prod(_double_factorial(p - 1) for p in powers)
+            total += coef * num / _double_factorial(sum(powers) + 1)
+    return total
+
 
 # <P^2>(t) golden values: 40-digit numerical inverse Laplace (mpmath, Talbot)
 # of the second-moment transform.
@@ -115,6 +160,13 @@ class TestBuildGenerator:
             build_generator(0, params)
         with pytest.raises(ValueError):
             build_generator(7, params)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_jump_columns_match_generator(self, n):
+        delta = 1.3
+        connectivity = build_generator(n, ModelParams(delta=delta, gamma=0.7)).jump / (0.5j * delta)
+        cols = np.array([0, 3, 4**n - 1, 4**n // 2 + 1])
+        assert np.array_equal(_jump_columns(n, cols), connectivity.real[:, cols])
 
 
 class TestEvolve:
@@ -229,6 +281,38 @@ class TestFiniteTimeMoment:
                 value = finite_time_moment(spec, params, float(t))
                 assert 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_sector_matches_dense_evolution(self, gamma):
+        params = ModelParams(delta=1.0, gamma=gamma)
+        rng = np.random.default_rng(17)
+        for order in range(1, 5):
+            gen = build_generator(order, params)
+            state = _random_state(rng)
+            for t in (0.1, 0.7, 3.0):
+                evolved = evolve(gen, _spec_vectors(MomentSpec(state, order, 0))[0], t)
+                for n_left in range(order + 1):
+                    spec = MomentSpec(state, n_left, order - n_left)
+                    dense = (_spec_vectors(spec)[1] @ evolved).real
+                    assert finite_time_moment(spec, params, t) == pytest.approx(dense, abs=1e-12)
+
+    def test_sum_rule_past_dense_cap(self):
+        # sum_k C(n, k) <P_L^k P_R^(n-k)> = <(P_L + P_R)^n> = 1 at every t
+        params = ModelParams(delta=1.0, gamma=2.0)
+        state = SpinState.normalized(1, 2j)
+        n = 7
+        for t in (0.4, 2.5):
+            total = sum(
+                math.comb(n, k) * finite_time_moment(MomentSpec(state, k, n - k), params, t)
+                for k in range(n + 1)
+            )
+            assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_sector_order_cap(self):
+        params = ModelParams(delta=1.0, gamma=1.0)
+        assert finite_time_moment(MomentSpec(LEFT, SECTOR_N_MAX, 0), params, 0.0) == 1.0
+        with pytest.raises(ValueError):
+            finite_time_moment(MomentSpec(LEFT, SECTOR_N_MAX + 1, 0), params, 0.2)
+
     def test_moment_spec_validation(self):
         with pytest.raises(ValueError):
             MomentSpec(LEFT, 0, 0)
@@ -275,6 +359,23 @@ class TestInfiniteTimeMoment:
             value = infinite_time_moment(MomentSpec(LEFT, n, 0), params)
             assert value == pytest.approx(1.0 / (n + 1), abs=1e-7)
 
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_every_split_matches_beta(self, gamma):
+        params = ModelParams(delta=1.0, gamma=gamma)
+        for order in range(1, 7):
+            for n_left in range(order + 1):
+                value = infinite_time_moment(MomentSpec(LEFT, n_left, order - n_left), params)
+                expected = float(beta_cross_moment(n_left, order - n_left))
+                assert value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_order_cap(self, gamma):
+        params = ModelParams(delta=1.0, gamma=gamma)
+        value = infinite_time_moment(MomentSpec(LEFT, SECTOR_N_MAX, 0), params)
+        assert value == pytest.approx(1.0 / (SECTOR_N_MAX + 1), abs=1e-11)
+        with pytest.raises(ValueError):
+            infinite_time_moment(MomentSpec(LEFT, SECTOR_N_MAX + 1, 0), params)
+
     def test_no_stationary_limit(self):
         with pytest.raises(NoStationaryLimitError):
             infinite_time_moment(MomentSpec(LEFT, 1, 0), ModelParams(delta=1.0, gamma=0.0))
@@ -313,6 +414,32 @@ class TestMixedInitialMoment:
                 state_a.amp_left * state_b.amp_right - state_b.amp_left * state_a.amp_right
             )
             assert mean_sq_diff == pytest.approx(abs(det) ** 2 / 3.0, abs=1e-8)
+
+
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_stationary_matches_haar_oracle(self, gamma):
+        # at gamma = 2 delta the dense eigenvector projector failed here with
+        # "moment not real" at order 4
+        params = ModelParams(delta=1.0, gamma=gamma)
+        rng = np.random.default_rng(29)
+        wells = (WellLabel.LEFT, WellLabel.RIGHT)
+        for order in range(2, 6):
+            for _ in range(3):
+                replicas = [(_random_state(rng), wells[rng.integers(2)]) for _ in range(order)]
+                value = mixed_initial_moment(replicas, params)
+                assert value == pytest.approx(haar_moment(replicas), abs=1e-12)
+
+    def test_stationary_matches_eig_oracle(self):
+        params = ModelParams(delta=0.9, gamma=2.0)
+        rng = np.random.default_rng(31)
+        state = _random_state(rng)
+        replicas = [(state, WellLabel.LEFT), (state, WellLabel.LEFT), (state, WellLabel.RIGHT)]
+        expected = infinite_time_moment(MomentSpec(state, 2, 1), params, method="eig")
+        assert mixed_initial_moment(replicas, params) == pytest.approx(expected, abs=1e-10)
+
+    def test_no_stationary_limit(self):
+        with pytest.raises(NoStationaryLimitError):
+            mixed_initial_moment([(LEFT, WellLabel.LEFT)], ModelParams(delta=1.0, gamma=0.0))
 
 
 class TestSpectrum:

@@ -46,6 +46,15 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(params=params, dt=0.01, t_final=1.0, seed=1.5, n_trajectories=1)
 
+    def test_seed_range(self):
+        # the Philox key holds 64 bits: -1 would alias 2**64 - 1, and 2**64 + 5 alias 5
+        params = ModelParams(delta=1.0, gamma=1.0)
+        for seed in (0, 2**64 - 1):
+            SimConfig(params=params, dt=0.01, t_final=1.0, seed=seed, n_trajectories=1)
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError, match="seed"):
+                SimConfig(params=params, dt=0.01, t_final=1.0, seed=seed, n_trajectories=1)
+
     def test_record_grid_bounds(self):
         params = ModelParams(delta=1.0, gamma=1.0)
         with pytest.raises(ValueError):
@@ -322,6 +331,14 @@ class TestRunPairedEnsemble:
         plain = run_trajectory(cfg, NoiseStream(53, 0), state)
         pulsed = run_trajectory(cfg, NoiseStream(53, 0), state, PulseSpec(phi, 0.0))
         assert np.array_equal(plain.p_left_series, pulsed.p_left_series)
+
+    @pytest.mark.parametrize("t0", [0.0, 1.0])
+    def test_pi_pulse_is_exact_noop(self, t0):
+        # phi = pi multiplies both amplitudes by -1, a global phase, on any state
+        params = ModelParams(delta=1.0, gamma=1.0)
+        cfg = SimConfig(params=params, dt=0.01, t_final=5.0, seed=59, n_trajectories=200)
+        paired = run_paired_ensemble(cfg, PLUS, PLUS, pulse_on_b=PulseSpec(math.pi, t0))
+        assert paired.mean_sq_diff == 0.0
 
     def test_orthogonal_pair_sensitivity(self):
         params = ModelParams(delta=1.0, gamma=1.0)
