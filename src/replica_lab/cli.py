@@ -423,9 +423,8 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
 def cmd_dist(cfg: ExperimentConfig) -> int:
     started = _utc_now()
     out = _prepare_out_dir(cfg)
-    ensemble = run_ensemble(
-        _sim_config(cfg, record_grid=(cfg.t_final,)), SpinState.localized(WellLabel.LEFT)
-    )
+    sim_cfg = _sim_config(cfg, record_grid=(cfg.t_final,))
+    ensemble = run_ensemble(sim_cfg, SpinState.localized(WellLabel.LEFT))
     samples = SampleSet(
         ensemble.final_p_left, provenance=f"seed={cfg.seed} dt={_fmt(cfg.dt)}"
     )
@@ -445,6 +444,7 @@ def cmd_dist(cfg: ExperimentConfig) -> int:
     payload = {
         "n_samples": samples.size,
         "t_final": cfg.t_final,
+        "t_simulated": sim_cfg.t_simulated,
         "ks": {"statistic": stat, "p_value": p_value},
         "moments": [report.__dict__ | {"order": list(report.order)} for report in reports],
         "cross_moments": [report.__dict__ | {"order": list(report.order)} for report in crosses],
@@ -465,7 +465,8 @@ def cmd_sense(cfg: ExperimentConfig) -> int:
     out = _prepare_out_dir(cfg)
     state_a = _state_from(cfg.state_a)
     state_b = _state_from(cfg.state_b)
-    paired = run_paired_ensemble(_sim_config(cfg, record_grid=(cfg.t_final,)), state_a, state_b)
+    sim_cfg = _sim_config(cfg, record_grid=(cfg.t_final,))
+    paired = run_paired_ensemble(sim_cfg, state_a, state_b)
 
     a, b = complex(state_a.amp_left), complex(state_a.amp_right)
     ap, bp = complex(state_b.amp_left), complex(state_b.amp_right)
@@ -478,6 +479,8 @@ def cmd_sense(cfg: ExperimentConfig) -> int:
         "reference": reference,
         "z_score": z,
         "n_trajectories": cfg.trajectories,
+        "t_final": cfg.t_final,
+        "t_simulated": sim_cfg.t_simulated,
     }
     _finish(out, cfg, started, {"sense.json": _json_bytes(payload)})
     print(f"sense: wrote {out / 'sense.json'} (z={z:+.2f})")
@@ -504,6 +507,8 @@ def cmd_pulse(cfg: ExperimentConfig) -> int:
         "predicted": predicted,
         "z_score": z,
         "pulse": {"phi": cfg.phi, "t0": cfg.t0, "t0_snapped": t0_snapped},
+        "t_final": cfg.t_final,
+        "t_simulated": sim_cfg.t_simulated,
     }
     _finish(out, cfg, started, {"pulse.json": _json_bytes(payload)})
     print(f"pulse: wrote {out / 'pulse.json'} (z={z:+.2f})")

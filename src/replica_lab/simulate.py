@@ -1,12 +1,23 @@
-"""Stochastic trajectory simulator: single noise realizations as exact unitaries.
+"""Stochastic trajectory simulator: single noise realizations as exact rotations.
 
-Each trajectory holds a pure two-component state and advances by a
-Strang-split step: half tunneling rotation, a random phase kick, half
-rotation.  Every factor is an exact 2x2 unitary, so normalization survives to
-machine precision for any step size.  The phase-kick angle accumulated over
-one step is exactly Gaussian with variance gamma*dt/2, which reproduces the
-averaged coherence decay e^{-gamma t} exactly at any dt when delta = 0; the
-only discretization bias is the O(dt^2) splitting error of the mean dynamics.
+Each trajectory holds the real Bloch vector r = (x, y, z) of its pure state
+a|L> + b|R>, with x + iy = 2 a b* and z = |a|^2 - |b|^2, so P_left =
+(1 + z)/2 and the coherence a b* = (x + iy)/2.  The global phase of (a, b)
+is not part of r.  A Strang-split step is a half tunneling rotation of (y, z)
+by delta*dt/2, a Gaussian phase kick that rotates (x, y) by 2*kick*g, and
+another half rotation.  Every factor is an exact rotation, so |r| = 1
+survives to machine precision for any step size.  The phase-kick angle
+accumulated over one step is exactly Gaussian with variance gamma*dt/2, which
+reproduces the averaged coherence decay e^{-gamma t} exactly at any dt when
+delta = 0; the only discretization bias is the O(dt^2) splitting error of the
+mean dynamics.
+
+One block kernel (``_advance``) steps every run: ensembles, paired runs,
+single trajectories and ``step``.  It merges the closing half rotation of a
+step with the opening half of the next and splits them only where the state
+must be whole (records, the pulse, the last step); it evaluates the kick
+rotations in bulk tables and updates the state with in-place ufuncs.
+``SpinState`` appears only at the API boundary.
 
 Noise streams are counter-based: trajectory i draws standard normals from
 Philox keyed by (seed, i).  A trajectory's k-th draw is a pure function of
@@ -23,7 +34,6 @@ REPLICA_LAB_THREADS environment variable (0 = auto, unset = serial).
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +45,11 @@ import numpy as np
 from .model import ModelParams, SpinState
 
 BLOCK_TRAJECTORIES = 1024
-_STEP_CHUNK = 8192
+# Working memory of one block: about (_STEP_CHUNK + (2 + 5 * members) * _TRIG_STEPS)
+# doubles per trajectory, on top of whatever the process running it holds.
+_STEP_CHUNK = 4096  # draws per stream per call
+_TRIG_STEPS = 16  # steps per bulk table of kick cosines and sines
+_TRANSPOSE_STRIP = 64  # trajectories per strip when the draws turn step-major
 
 _DRIFT_BUDGET_PER_STEP = 1e-12
 
@@ -82,6 +96,11 @@ class SimConfig:
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
+    @property
+    def t_simulated(self) -> float:
+        """n_steps * dt, the horizon actually simulated: not t_final when dt does not divide it."""
+        return self.n_steps * self.dt
+
     def record_steps(self) -> np.ndarray:
         """Record boundaries: requested grid snapped to step boundaries, sorted."""
         if self.record_grid is None:
@@ -99,14 +118,13 @@ class SimConfig:
 class PulseSpec:
     """Instantaneous relative-phase pulse: (a, b) -> (e^{i phi} a, e^{-i phi} b) at t0.
 
-    The map holds up to a global phase, which the simulator does not keep:
-    each trajectory multiplies e^{-2i phi} onto b when |b| <= |a|, and
-    e^{2i phi} onto a otherwise.  P_left, the coherence a b* and the final
-    P are unchanged by a global phase, so every recorded quantity is as the
-    map above gives it, while ``TrajectoryResult.final_state`` after a pulse
-    differs from (e^{i phi} a, e^{-i phi} b) by that global phase.  A zero
-    amplitude stays exactly 0, so a pulse on either localized state is a
-    bit-exact no-op.
+    On the Bloch vector this is a rotation of (x, y) by 2*phi, since a b*
+    picks up e^{2i phi}; the simulator rotates by 2*fmod(phi, pi), the same
+    rotation.  It is exact where it must be: on a localized state x = y = 0,
+    and c*0 - s*0 is exactly 0, so the pulse is a bit-exact no-op; phi = 0 or
+    +-pi gives an angle of exactly 0, cosine 1 and sine 0, again a no-op.
+    ``TrajectoryResult.final_state`` carries no phase of its own (its larger
+    amplitude is real), so it equals the map above up to a global phase.
 
     Applied at the step boundary nearest t0; records at that boundary see the
     post-pulse state.  The pulse changes phases only, so recorded
@@ -152,6 +170,7 @@ class TrajectoryResult:
     final_state: SpinState
     times: np.ndarray
     p_left_series: np.ndarray
+    final_p_left: float  # (1 + z)/2, as EnsembleResult.final_p_left reports it
     norm_drift: float
 
 
@@ -199,52 +218,84 @@ class PairedEnsembleResult:
     max_norm_drift: float
 
 
+def _bloch(state: SpinState) -> np.ndarray:
+    """Bloch vector (x, y, z) of a state: x + iy = 2 a b*, z = |a|^2 - |b|^2."""
+    a, b = complex(state.amp_left), complex(state.amp_right)
+    coh = 2.0 * a * b.conjugate()
+    return np.array([coh.real, coh.imag, (a.real**2 + a.imag**2) - (b.real**2 + b.imag**2)])
+
+
+def _spin_state(r: np.ndarray) -> SpinState:
+    """The state with Bloch vector r/|r|, its larger amplitude taken real and >= 0."""
+    x, y, z = (float(v) for v in r / math.sqrt(float(r @ r)))
+    coh = 0.5 * complex(x, y)  # a b*
+    if z >= 0.0:
+        a = math.sqrt(0.5 * (1.0 + z))
+        return SpinState(complex(a), coh.conjugate() / a)
+    b = math.sqrt(0.5 * (1.0 - z))
+    return SpinState(coh / b, complex(b))
+
+
 class _StateBlock:
-    """Amplitudes of one trajectory block plus its recording buffers and pulse."""
+    """Bloch vectors of one trajectory block, one column each, plus records and pulse.
+
+    ``r`` is one (3, members * n) array.  The members of a pair sit side by
+    side: column ``k * n + i`` is trajectory i of member k, and every member
+    of trajectory i consumes trajectory i's noise.  The pulse acts on the
+    last member (run B of a pair).
+    """
 
     def __init__(
         self,
         n: int,
-        initial: SpinState,
+        initials: Sequence[SpinState],
         record_steps: np.ndarray,
         pulse: Optional[PulseSpec] = None,
         cfg: Optional[SimConfig] = None,
     ):
-        self.a = np.full(n, complex(initial.amp_left), dtype=complex)
-        self.b = np.full(n, complex(initial.amp_right), dtype=complex)
+        self.n = n
+        self.r = np.repeat(np.stack([_bloch(s) for s in initials], axis=1), n, axis=1)
         self.record_steps = record_steps
         self.pulse_boundary = _pulse_boundary(pulse, cfg)
-        # relative phase e^{2i phi}; see PulseSpec.  fmod is exact: phi = +-pi
-        # gives exactly 1, and |phi| < pi is left unchanged.
-        self.pulse_phase = (
-            cmath.exp(2j * math.fmod(pulse.delta_phi, math.pi)) if pulse else 1.0 + 0.0j
-        )
-        self.p_rec = np.empty((n, len(record_steps)))
-        self.coh_rec = np.empty((n, len(record_steps)), dtype=complex)
-        self.drift = np.zeros(n)
+        # rotation of (x, y) by 2 phi.  fmod is exact: phi = +-pi gives an
+        # angle of exactly 0, and |phi| < pi is left unchanged.
+        angle = 2.0 * math.fmod(pulse.delta_phi, math.pi) if pulse else 0.0
+        self.pulse_rotation = (math.cos(angle), math.sin(angle))
+        width = self.r.shape[1]
+        self.p_rec = np.empty((width, len(record_steps)))
+        self.coh_rec = np.empty((width, len(record_steps)), dtype=complex)
+        self.drift = 0.0
         self._ptr = 0
+
+    def stops(self, n_steps: int) -> list[int]:
+        """Step boundaries after step 1 where the state must be whole: records, pulse, end."""
+        marks = set(int(k) for k in self.record_steps) | {self.pulse_boundary, n_steps}
+        return sorted(k for k in marks if k >= 1)
 
     def at_boundary(self, boundary: int) -> None:
         if self.pulse_boundary == boundary:
-            on_b = np.abs(self.b) <= np.abs(self.a)
-            self.b[on_b] *= self.pulse_phase.conjugate()
-            self.a[~on_b] *= self.pulse_phase
+            # on a localized state x = y = 0, so the rotation leaves it exactly unchanged
+            cols = slice(self.r.shape[1] - self.n, None)
+            _rotate(self.r[0, cols], self.r[1, cols], *self.pulse_rotation,
+                    np.empty(self.n), np.empty(self.n))
         while self._ptr < len(self.record_steps) and self.record_steps[self._ptr] == boundary:
-            self.p_rec[:, self._ptr] = self.a.real**2 + self.a.imag**2
-            self.coh_rec[:, self._ptr] = self.a * np.conj(self.b)
+            self.p_rec[:, self._ptr] = self.p_left()
+            self.coh_rec[:, self._ptr].real = 0.5 * self.r[0]
+            self.coh_rec[:, self._ptr].imag = 0.5 * self.r[1]
             self._ptr += 1
 
-    def step(self, gauss: np.ndarray, cos_half: float, isin_half: complex, kick: float) -> None:
-        a, b = self.a, self.b
-        a, b = cos_half * a + isin_half * b, isin_half * a + cos_half * b
-        angle = kick * gauss
-        phase = np.cos(angle) + 1j * np.sin(angle)
-        a = a * phase
-        b = b * np.conj(phase)
-        a, b = cos_half * a + isin_half * b, isin_half * a + cos_half * b
-        self.a, self.b = a, b
-        norm = a.real**2 + a.imag**2 + b.real**2 + b.imag**2
-        np.maximum(self.drift, np.abs(norm - 1.0), out=self.drift)
+    def p_left(self) -> np.ndarray:
+        """P_left = (1 + z)/2 of every column."""
+        return 0.5 * (1.0 + self.r[2])
+
+    def norm_drift(self, path: np.ndarray) -> None:
+        """Fold max | |r|^2 - 1 | over a (steps, 3, width) path into ``drift``; clobbers path."""
+        np.multiply(path, path, out=path)
+        norm_sq = path[:, 0]
+        np.add(norm_sq, path[:, 1], out=norm_sq)
+        np.add(norm_sq, path[:, 2], out=norm_sq)
+        # max |v - 1| is max(max v - 1, 1 - min v): rounding is monotone
+        self.drift = max(self.drift, float(norm_sq.max()) - 1.0, 1.0 - float(norm_sq.min()))
 
 
 def _pulse_boundary(pulse: Optional[PulseSpec], cfg: SimConfig) -> int:
@@ -255,55 +306,132 @@ def _pulse_boundary(pulse: Optional[PulseSpec], cfg: SimConfig) -> int:
     return int(np.clip(round(pulse.t0 / cfg.dt), 0, cfg.n_steps))
 
 
-def _advance(cfg: SimConfig, streams: Sequence[NoiseStream], blocks: Sequence[_StateBlock]) -> None:
-    """March every state block through the run; blocks share the noise draws."""
-    cos_half = math.cos(0.25 * cfg.params.delta * cfg.dt)
-    isin_half = 1j * math.sin(0.25 * cfg.params.delta * cfg.dt)
-    kick = math.sqrt(0.5 * cfg.params.gamma * cfg.dt)
-    n_steps = cfg.n_steps
+def _kick_table(
+    noise: np.ndarray,
+    kick: float,
+    cos_t: np.ndarray,
+    sin_t: np.ndarray,
+    tan_t: np.ndarray,
+    denom: np.ndarray,
+) -> None:
+    """Cosines and sines of the kick angles 2*kick*g, step-major: row j is step j.
 
-    for block in blocks:
-        block.at_boundary(0)
+    ``noise`` is trajectory-major (n, steps); it is transposed in narrow
+    column strips, which keeps the strided reads in cache.  With
+    t = tan(kick*g), cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2): one
+    vectorized tan costs less than a cos and a sin, and the pair has unit
+    norm to rounding for any t.  Members past the first get copies.  tan_t
+    and denom are contiguous (steps, n) scratch, so every block width runs
+    the same tan loop.
+    """
+    n = noise.shape[0]
+    for lo in range(0, n, _TRANSPOSE_STRIP):
+        hi = min(lo + _TRANSPOSE_STRIP, n)
+        np.multiply(noise[lo:hi].T, kick, out=tan_t[:, lo:hi])
+    np.tan(tan_t, out=tan_t)
+    c, s = cos_t[:, :n], sin_t[:, :n]
+    np.multiply(tan_t, tan_t, out=c)
+    np.add(c, 1.0, out=denom)
+    np.subtract(1.0, c, out=c)
+    np.divide(c, denom, out=c)
+    np.add(tan_t, tan_t, out=s)
+    np.divide(s, denom, out=s)
+    for col in range(n, cos_t.shape[1], n):
+        cos_t[:, col : col + n] = c
+        sin_t[:, col : col + n] = s
+
+
+def _rotate(u: np.ndarray, v: np.ndarray, c, s, p: np.ndarray, q: np.ndarray) -> None:
+    """(u, v) <- (c u - s v, s u + c v) in place; c and s are scalars or rows, p and q scratch."""
+    np.multiply(v, s, out=q)
+    np.multiply(u, s, out=p)
+    np.multiply(u, c, out=u)
+    np.subtract(u, q, out=u)
+    np.multiply(v, c, out=v)
+    np.add(v, p, out=v)
+
+
+def _advance(
+    params: ModelParams, dt: float, n_steps: int, streams: Sequence, block: _StateBlock
+) -> None:
+    """March a block through n_steps Strang steps; stream i feeds column i of every member.
+
+    One step is a tunneling rotation of (y, z) by delta*dt/2, a kick rotation
+    of (x, y) by 2*kick*g, and another half rotation.  The closing half of a
+    step and the opening half of the next merge into one full rotation; the
+    halves stay apart only around a stop (record, pulse, last step).  Kick
+    rotations come from a bulk table of _TRIG_STEPS steps, each update is an
+    in-place ufunc on a row of ``block.r``, and the state after every step is
+    kept for a bulk norm check at the end of the table.
+    """
+    block.at_boundary(0)
     if n_steps == 0:
         return
+    n, width = len(streams), block.r.shape[1]
+    half, full = 0.5 * params.delta * dt, params.delta * dt
+    c_half, s_half = math.cos(half), math.sin(half)
+    c_full, s_full = math.cos(full), math.sin(full)
+    kick = math.sqrt(0.5 * params.gamma * dt)
 
-    noise = np.empty((len(streams), min(_STEP_CHUNK, n_steps)))
-    done = 0
-    while done < n_steps:
-        size = min(_STEP_CHUNK, n_steps - done)
+    x, y, z = block.r
+    p, q = np.empty(width), np.empty(width)
+    noise = np.empty((n, min(_STEP_CHUNK, n_steps)))
+    rows = min(_TRIG_STEPS, n_steps)
+    cos_t, sin_t = np.empty((rows, width)), np.empty((rows, width))
+    tan_t, denom = np.empty((rows, n)), np.empty((rows, n))
+    path = np.empty((rows, 3, width))  # the state after each step of the table
+    stops = iter(block.stops(n_steps))
+    stop = next(stops)
+    whole = True  # the state sits on a step boundary: open with a half rotation
+
+    k = 0
+    while k < n_steps:
+        size = min(_STEP_CHUNK, n_steps - k)
         for row, stream in enumerate(streams):
             noise[row, :size] = stream.normals(size)
-        for k in range(size):
-            gauss = noise[:, k]
-            for block in blocks:
-                block.step(gauss, cos_half, isin_half, kick)
-                block.at_boundary(done + k + 1)
-        done += size
+        for lo in range(0, size, rows):
+            m = min(rows, size - lo)
+            _kick_table(noise[:, lo : lo + m], kick, cos_t[:m], sin_t[:m], tan_t[:m], denom[:m])
+            for j in range(m):
+                if whole:
+                    _rotate(y, z, c_half, s_half, p, q)
+                _rotate(x, y, cos_t[j], sin_t[j], p, q)
+                k += 1
+                whole = k == stop
+                if whole:
+                    _rotate(y, z, c_half, s_half, p, q)
+                    block.at_boundary(k)
+                    stop = next(stops, -1)
+                else:
+                    _rotate(y, z, c_full, s_full, p, q)
+                path[j] = block.r
+            block.norm_drift(path[:m])
 
 
-def _check_drift(drift: np.ndarray, n_steps: int) -> float:
+def _check_drift(drift: float, n_steps: int) -> float:
     budget = _DRIFT_BUDGET_PER_STEP * max(n_steps, 1)
-    worst = float(drift.max()) if drift.size else 0.0
-    if worst >= budget:
-        raise NormDriftError(f"norm drift {worst} exceeds budget {budget} ({n_steps} steps)")
-    return worst
+    if drift >= budget:
+        raise NormDriftError(f"norm drift {drift} exceeds budget {budget} ({n_steps} steps)")
+    return drift
+
+
+class _GivenNormals:
+    """A stream that hands out fixed draws, for stepping by given kicks."""
+
+    def __init__(self, draws: np.ndarray):
+        self._draws = draws
+
+    def normals(self, count: int) -> np.ndarray:
+        return self._draws[:count]
 
 
 def step(state: SpinState, params: ModelParams, dt: float, gauss: float) -> SpinState:
-    """One Strang-split step: half rotation, Gaussian phase kick, half rotation."""
+    """One Strang-split step by the block kernel: half rotation, phase kick, half rotation."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    cos_half = math.cos(0.25 * params.delta * dt)
-    isin_half = 1j * math.sin(0.25 * params.delta * dt)
-    kick = math.sqrt(0.5 * params.gamma * dt)
-    a = np.array([complex(state.amp_left)])
-    b = np.array([complex(state.amp_right)])
-    a, b = cos_half * a + isin_half * b, isin_half * a + cos_half * b
-    angle = kick * np.asarray([float(gauss)])
-    phase = np.cos(angle) + 1j * np.sin(angle)
-    a, b = a * phase, b * np.conj(phase)
-    a, b = cos_half * a + isin_half * b, isin_half * a + cos_half * b
-    return SpinState(complex(a[0]), complex(b[0]))
+    block = _StateBlock(1, [state], np.empty(0, dtype=int))
+    _advance(params, dt, 1, [_GivenNormals(np.array([float(gauss)]))], block)
+    return _spin_state(block.r[:, 0])
 
 
 def run_trajectory(
@@ -313,20 +441,14 @@ def run_trajectory(
     pulse: Optional[PulseSpec] = None,
 ) -> TrajectoryResult:
     """Evolve one noise realization, recording P_left on the grid."""
-    record_steps = cfg.record_steps()
-    block = _StateBlock(
-        1,
-        initial,
-        record_steps,
-        pulse=pulse,
-        cfg=cfg,
-    )
-    _advance(cfg, [stream], [block])
+    block = _StateBlock(1, [initial], cfg.record_steps(), pulse=pulse, cfg=cfg)
+    _advance(cfg.params, cfg.dt, cfg.n_steps, [stream], block)
     drift = _check_drift(block.drift, cfg.n_steps)
     return TrajectoryResult(
-        final_state=SpinState(complex(block.a[0]), complex(block.b[0])),
+        final_state=_spin_state(block.r[:, 0]),
         times=cfg.record_times(),
         p_left_series=block.p_rec[0].copy(),
+        final_p_left=float(block.p_left()[0]),
         norm_drift=drift,
     )
 
@@ -354,16 +476,9 @@ def _block_ranges(n_trajectories: int) -> list[tuple[int, int]]:
 
 def _ensemble_block(args) -> dict:
     cfg, lo, hi, initial_amps, pulse = args
-    initial = SpinState(*initial_amps)
     streams = [NoiseStream(cfg.seed, i) for i in range(lo, hi)]
-    block = _StateBlock(
-        hi - lo,
-        initial,
-        cfg.record_steps(),
-        pulse=pulse,
-        cfg=cfg,
-    )
-    _advance(cfg, streams, [block])
+    block = _StateBlock(hi - lo, [SpinState(*initial_amps)], cfg.record_steps(), pulse, cfg)
+    _advance(cfg.params, cfg.dt, cfg.n_steps, streams, block)
     p, coh = block.p_rec, block.coh_rec
     return {
         "sum_p": p.sum(axis=0),
@@ -372,29 +487,20 @@ def _ensemble_block(args) -> dict:
         "sum_coh": coh.sum(axis=0),
         "sum_coh_re_sq": (coh.real**2).sum(axis=0),
         "sum_coh_im_sq": (coh.imag**2).sum(axis=0),
-        "final_p": block.a.real**2 + block.a.imag**2,
-        "drift_max": float(block.drift.max()),
+        "final_p": block.p_left(),
+        "drift_max": block.drift,
     }
 
 
 def _paired_block(args) -> dict:
     cfg, lo, hi, amps_a, amps_b, pulse_b = args
+    n = hi - lo
     streams = [NoiseStream(cfg.seed, i) for i in range(lo, hi)]
-    no_records = np.empty(0, dtype=int)
-    block_a = _StateBlock(hi - lo, SpinState(*amps_a), no_records)
-    block_b = _StateBlock(
-        hi - lo,
-        SpinState(*amps_b),
-        no_records,
-        pulse=pulse_b,
-        cfg=cfg,
-    )
-    _advance(cfg, streams, [block_a, block_b])
-    return {
-        "final_a": block_a.a.real**2 + block_a.a.imag**2,
-        "final_b": block_b.a.real**2 + block_b.a.imag**2,
-        "drift_max": float(max(block_a.drift.max(), block_b.drift.max())),
-    }
+    initials = [SpinState(*amps_a), SpinState(*amps_b)]
+    block = _StateBlock(n, initials, np.empty(0, dtype=int), pulse_b, cfg)
+    _advance(cfg.params, cfg.dt, cfg.n_steps, streams, block)
+    final = block.p_left()
+    return {"final_a": final[:n], "final_b": final[n:], "drift_max": block.drift}
 
 
 def _map_blocks(worker, tasks, workers: int) -> list:
@@ -447,7 +553,7 @@ def run_ensemble(
         sum_coh_im_sq += res["sum_coh_im_sq"]
         finals.append(res["final_p"])
         drift_max = max(drift_max, res["drift_max"])
-    _check_drift(np.array([drift_max]), cfg.n_steps)
+    _check_drift(drift_max, cfg.n_steps)
 
     mean_p, se_p = _mean_se(sum_p, sum_p_sq, n)
     mean_p_sq, se_p_sq = _mean_se(sum_p_sq, sum_p_4, n)
@@ -499,7 +605,7 @@ def run_paired_ensemble(
     final_a = np.concatenate([res["final_a"] for res in results])
     final_b = np.concatenate([res["final_b"] for res in results])
     drift_max = max(res["drift_max"] for res in results)
-    _check_drift(np.array([drift_max]), cfg.n_steps)
+    _check_drift(drift_max, cfg.n_steps)
 
     diff = final_a - final_b
     sq = diff**2

@@ -162,6 +162,21 @@ class TestPulse:
         assert abs(payload["z_score"]) < 4.0
 
 
+class TestHorizon:
+    @pytest.mark.parametrize("command", ["dist", "sense", "pulse"])
+    def test_reports_simulated_horizon(self, tmp_path, command):
+        # dt = 0.03 does not divide t_final = 1: round(33.3) = 33 steps reach 0.99
+        out = tmp_path / "run"
+        code = run_cli(
+            command, "--dt", "0.03", "--t-final", "1.0", "--gamma", "0.3", "--delta", "0.3",
+            "--trajectories", "200", "--out-dir", str(out),
+        )
+        assert code == 0
+        payload = read_json(out / f"{command}.json")
+        assert payload["t_final"] == 1.0
+        assert payload["t_simulated"] == 33 * 0.03
+
+
 class TestConfigHandling:
     def test_file_then_flag_precedence(self, tmp_path):
         config = tmp_path / "run.cfg"

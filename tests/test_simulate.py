@@ -5,7 +5,13 @@ import pytest
 import scipy.integrate
 
 import replica_lab.simulate as sim
-from replica_lab.model import ModelParams, SpinState, WellLabel, closed_form_p_ll
+from replica_lab.model import (
+    ModelParams,
+    SpinState,
+    WellLabel,
+    closed_form_offdiag,
+    closed_form_p_ll,
+)
 from replica_lab.replica import MomentSpec, finite_time_moment
 from replica_lab.simulate import (
     NoiseStream,
@@ -22,6 +28,34 @@ LEFT = SpinState.localized(WellLabel.LEFT)
 RIGHT = SpinState.localized(WellLabel.RIGHT)
 PLUS = SpinState.normalized(1.0, 1.0)
 MINUS = SpinState.normalized(1.0, -1.0)
+RANDOM = SpinState.normalized(0.3 - 0.8j, -0.5 + 0.1j)
+
+
+def complex_strang(state, params, dt, normals, record_steps, pulse=None):
+    """Oracle: the complex-amplitude Strang step, one trajectory, no merged rotations.
+
+    Half rotation [[c, is], [is, c]] with angle delta*dt/4, phase kick
+    (e^{i kick g} a, e^{-i kick g} b), half rotation; a pulse multiplies
+    e^{i phi} onto a and e^{-i phi} onto b after its step.  Returns P_left and
+    a b* at the record steps.
+    """
+    c, s = math.cos(0.25 * params.delta * dt), 1j * math.sin(0.25 * params.delta * dt)
+    kick = math.sqrt(0.5 * params.gamma * dt)
+    a, b = complex(state.amp_left), complex(state.amp_right)
+    pulse_step = -1 if pulse is None else round(pulse.t0 / dt)
+    p_left, coherence = [], []
+    for k in range(len(normals) + 1):
+        if k > 0:
+            a, b = c * a + s * b, s * a + c * b
+            phase = complex(math.cos(kick * normals[k - 1]), math.sin(kick * normals[k - 1]))
+            a, b = a * phase, b * phase.conjugate()
+            a, b = c * a + s * b, s * a + c * b
+        if k == pulse_step:
+            a, b = a * np.exp(1j * pulse.delta_phi), b * np.exp(-1j * pulse.delta_phi)
+        if k in record_steps:
+            p_left.append(abs(a) ** 2)
+            coherence.append(a * b.conjugate())
+    return np.array(p_left), np.array(coherence)
 
 
 class TestSimConfig:
@@ -211,7 +245,7 @@ class TestRunEnsemble:
         ens = run_ensemble(cfg, LEFT)
         traj = run_trajectory(cfg, NoiseStream(11, 0), LEFT)
         assert np.array_equal(ens.mean_p_left, traj.p_left_series)
-        assert ens.final_p_left[0] == traj.final_state.p_left
+        assert ens.final_p_left[0] == traj.final_p_left
 
     def test_bit_identical_across_worker_counts(self):
         params = ModelParams(delta=1.0, gamma=1.0)
@@ -309,6 +343,69 @@ class TestRunEnsemble:
         cfg = SimConfig(params=params, dt=0.01, t_final=10.0, seed=29, n_trajectories=256)
         ens = run_ensemble(cfg, LEFT)
         assert ens.max_norm_drift < 1e-12 * cfg.n_steps
+
+
+class TestBlochKernel:
+    @pytest.mark.parametrize(
+        "state", [LEFT, RIGHT, PLUS, RANDOM], ids=["left", "right", "plus", "random"]
+    )
+    @pytest.mark.parametrize("pulse", [None, PulseSpec(1.1, 7.33)], ids=["plain", "pulse"])
+    def test_matches_complex_strang_oracle(self, state, pulse):
+        # same normals, 2000 steps; records every 50 steps, so most steps run
+        # merged rotations, and the pulse at step 733 splits one mid-segment
+        params = ModelParams(delta=1.0, gamma=1.0)
+        cfg = SimConfig(
+            params=params, dt=0.01, t_final=20.0, seed=61, n_trajectories=1,
+            record_grid=tuple(np.linspace(0.0, 20.0, 41)),
+        )
+        ens = run_ensemble(cfg, state, pulse)
+        normals = NoiseStream(61, 0).normals(cfg.n_steps)
+        p_left, coherence = complex_strang(state, params, cfg.dt, normals,
+                                           set(cfg.record_steps().tolist()), pulse)
+        assert np.max(np.abs(ens.mean_p_left - p_left)) < 1e-12
+        assert np.max(np.abs(ens.mean_offdiag - coherence)) < 1e-12
+        traj = run_trajectory(cfg, NoiseStream(61, 0), state, pulse)
+        assert abs(traj.final_p_left - p_left[-1]) < 1e-12
+
+    def test_bit_identical_across_block_widths(self):
+        # one full block plus a partial block of 6, over more than one noise
+        # chunk; the bulk kick tables must not depend on the block width
+        params = ModelParams(delta=1.0, gamma=1.0)
+        cfg = SimConfig(params=params, dt=0.01, t_final=41.3, seed=67, n_trajectories=1030)
+        pulse = PulseSpec(0.7, 17.31)
+        ens = run_ensemble(cfg, RANDOM, pulse)
+        for i in (0, 1023, 1024, 1029):
+            traj = run_trajectory(cfg, NoiseStream(67, i), RANDOM, pulse)
+            assert ens.final_p_left[i] == traj.final_p_left
+
+    @pytest.mark.parametrize("gamma", [1.0, 3.0])
+    def test_coherence_matches_closed_form(self, gamma):
+        # x + iy = 2 a b*: the simulated <a b*> must follow closed_form_offdiag
+        # in both parts, not its conjugate
+        params = ModelParams(delta=1.0, gamma=gamma)
+        cfg = SimConfig(params=params, dt=0.01 / gamma, t_final=6.0, seed=71, n_trajectories=3000)
+        ens = run_ensemble(cfg, LEFT)
+        for i, t in enumerate(ens.times):
+            expected = closed_form_offdiag(params, float(t))
+            for value, reference, se in (
+                (ens.mean_offdiag[i].real, expected.real, ens.se_offdiag_re[i]),
+                (ens.mean_offdiag[i].imag, expected.imag, ens.se_offdiag_im[i]),
+            ):
+                assert abs(value - reference) <= 5.0 * se + 1e-15
+        assert np.max(np.abs(ens.mean_offdiag.imag)) > 0.1
+
+    def test_noiseless_coherence_is_exact_rabi(self):
+        # gamma = 0 from the left well: a = cos(delta t/2), b = i sin(delta t/2),
+        # so a b* = -(i/2) sin(delta t)
+        delta = 1.0
+        params = ModelParams(delta=delta, gamma=0.0)
+        cfg = SimConfig(params=params, dt=0.002, t_final=7.0, seed=73, n_trajectories=1)
+        ens = run_ensemble(cfg, LEFT)
+        exact = -0.5j * np.sin(delta * ens.times)
+        assert np.max(np.abs(ens.mean_offdiag - exact)) < 1e-10
+        out = run_trajectory(cfg, NoiseStream(73, 0), LEFT).final_state
+        coherence = complex(out.amp_left) * complex(out.amp_right).conjugate()
+        assert abs(coherence - exact[-1]) < 1e-10
 
 
 class TestRunPairedEnsemble:
