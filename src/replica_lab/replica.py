@@ -22,8 +22,10 @@ X^T[:, S] alone, without eigenvectors.  It therefore stays well-conditioned
 at gamma = 2 delta, where the transient block of G is defective.
 
 MomentSpec moments use the replica-permutation-symmetric sector (dimension
-C(n+3, 3) instead of 4^n); the dense generator serves mixed initial states,
-the spectrum, and the "eig" and "resolvent" cross-checks.
+C(n+3, 3) instead of 4^n); stationary mixed moments use the product of one
+such sector per group of replicas that share an initial state.  The dense
+generator serves finite-time mixed moments, the spectrum, and the "eig" and
+"resolvent" cross-checks.
 
 Pair-state ordering is fixed as (ket, bra) = (L,L), (L,R), (R,L), (R,R) with
 indices 0..3 and ket-bra separations 0, -1, +1, 0.  Multi-pair indices are
@@ -291,18 +293,25 @@ def _symmetric_sector(n: int) -> tuple[list, dict, np.ndarray, np.ndarray]:
     return occupations, index, xi, jump
 
 
-def _sector_vectors(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Sector separations, generator jump, initial coefficients and selected row."""
-    occupations, index, xi, jump = _symmetric_sector(spec.n_pairs)
-    init = pair_initial_vector(spec.initial_state)
+def _sector_vectors(
+    init: np.ndarray, n_left: int, n_right: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Sector separations, jump, initial coefficients and selected row of one group.
+
+    The group is n_left + n_right replicas that all start from the pair
+    vector ``init``; n_left of them select the left well.
+    """
+    occupations, index, xi, jump = _symmetric_sector(n_left + n_right)
     coeffs = np.prod(init ** np.array(occupations), axis=1)
-    return xi, jump, coeffs, index[(spec.n_left, 0, 0, spec.n_right)]
+    return xi, jump, coeffs, index[(n_left, 0, 0, n_right)]
 
 
 def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float:
     """<product of final-well probabilities> at time t, exact to solver tolerance."""
     _check_time(t)
-    xi, jump, coeffs, row = _sector_vectors(spec)
+    xi, jump, coeffs, row = _sector_vectors(
+        pair_initial_vector(spec.initial_state), spec.n_left, spec.n_right
+    )
     if t == 0.0:
         return _as_probability(coeffs[row], _REAL_TOL_FINITE)
     gen = 0.5j * params.delta * jump
@@ -331,6 +340,49 @@ def _projector_contraction(
     R and L are bases of the null spaces of X[:, S] and X^T[:, S].
     """
     return complex((sel @ right) @ np.linalg.solve(left.T @ right, left.T @ v0))
+
+
+def _kron_sum_columns(mats: Sequence[np.ndarray], cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` of the Kronecker sum of square ``mats``, built without the rest.
+
+    The index is row-major over the factors: the last factor varies fastest.
+    """
+    dims = [len(mat) for mat in mats]
+    out = np.zeros((math.prod(dims), len(cols)))
+    which = np.arange(len(cols))
+    stride = len(out)
+    for mat, dim in zip(mats, dims):
+        stride //= dim
+        digit = (cols // stride) % dim
+        out[cols + (np.arange(dim)[:, None] - digit) * stride, which] += mat[:, digit]
+    return out
+
+
+def _stationary_product_sector(groups: Sequence[tuple[np.ndarray, int, int]]) -> complex:
+    """Stationary moment of replica groups, from the product of their symmetric sectors.
+
+    Group (init, n_left, n_right) is n_left + n_right replicas that start from
+    the pair vector ``init``, n_left of them selecting the left well.  The
+    generator commutes with every permutation of the replicas, so each group
+    stays in its own symmetric sector and the product of the sectors is
+    invariant: its jump matrix is the Kronecker sum of the sector jumps, its
+    separation the sum of theirs, and its initial vector the Kronecker
+    product of their coefficient vectors.  The value is the null-space
+    projector on the zero-separation coordinates; one group is a MomentSpec.
+    """
+    sectors = [_sector_vectors(*group) for group in groups]
+    dims = [len(xi) for xi, _, _, _ in sectors]
+    xi = functools.reduce(lambda a, b: np.add.outer(a, b).ravel(), [sec[0] for sec in sectors])
+    coeffs = functools.reduce(np.kron, [sec[2] for sec in sectors])
+    row = np.ravel_multi_index([sec[3] for sec in sectors], dims)
+    zero = np.flatnonzero(xi == 0.0)
+    jumps = [sec[1] for sec in sectors]
+    right = _null_basis(_kron_sum_columns(jumps, zero))
+    if all(np.array_equal(jump, jump.T) for jump in jumps):
+        left = right  # single replicas: a symmetric Kronecker sum, as the dense X
+    else:
+        left = _null_basis(_kron_sum_columns([jump.T for jump in jumps], zero))
+    return _projector_contraction(right, left, coeffs[zero], (zero == row).astype(float))
 
 
 def _zero_cutoff(params: ModelParams) -> float:
@@ -377,11 +429,8 @@ def infinite_time_moment(spec: MomentSpec, params: ModelParams, method: str = "a
     """
     _require_stationary(params)
     if method in ("auto", "reduced"):
-        xi, jump, coeffs, row = _sector_vectors(spec)
-        zero = np.flatnonzero(xi == 0.0)
-        sel = (zero == row).astype(float)
-        right, left = _null_basis(jump[:, zero]), _null_basis(jump.T[:, zero])
-        value = _projector_contraction(right, left, coeffs[zero], sel)
+        groups = [(pair_initial_vector(spec.initial_state), spec.n_left, spec.n_right)]
+        value = _stationary_product_sector(groups)
     elif method in ("eig", "resolvent"):
         gen = build_generator(spec.n_pairs, params)
         v0, sel = _spec_vectors(spec)
@@ -394,18 +443,6 @@ def infinite_time_moment(spec: MomentSpec, params: ModelParams, method: str = "a
     return _as_probability(value, _REAL_TOL_STATIONARY)
 
 
-def _jump_columns(n: int, cols: np.ndarray) -> np.ndarray:
-    """Columns `cols` of the real 4^n tunneling Kronecker sum, built without the rest."""
-    lam = pair_jump_matrix()
-    out = np.zeros((4**n, len(cols)))
-    which = np.arange(len(cols))
-    for k in range(n):
-        digit = (cols // 4**k) % 4
-        for dst in range(4):
-            out[cols + (dst - digit) * 4**k, which] += lam[dst, digit]
-    return out
-
-
 def mixed_initial_moment(
     replicas: Sequence[tuple[SpinState, WellLabel]],
     params: ModelParams,
@@ -415,21 +452,25 @@ def mixed_initial_moment(
 
     Generalizes MomentSpec to correlators that pair different initial states
     against the same noise, e.g. the cross term of an initial-state
-    sensitivity experiment.  t=None takes the stationary limit, from the
-    null space of the dense tunneling matrix on its zero-separation columns.
+    sensitivity experiment.  t=None takes the stationary limit in the product
+    of the symmetric sectors of the groups of replicas that share an initial
+    state; a finite t evolves the dense 4^n generator.
     """
     n = len(replicas)
     if not 1 <= n <= N_MAX:
         raise ValueError(f"need 1..{N_MAX} replicas, got {n}")
-    v0 = _kron_chain([pair_initial_vector(state) for state, _ in replicas])
-    sel = _kron_chain([_selector(well) for _, well in replicas])
     if t is not None:
+        v0 = _kron_chain([pair_initial_vector(state) for state, _ in replicas])
+        sel = _kron_chain([_selector(well) for _, well in replicas])
         value = sel @ evolve(build_generator(n, params), v0, t)
         return _as_probability(value, _REAL_TOL_FINITE)
     _require_stationary(params)
-    zero = np.flatnonzero(_total_xi_vector(n) == 0.0)
-    basis = _null_basis(_jump_columns(n, zero))  # X is symmetric, so L = R
-    value = _projector_contraction(basis, basis, v0[zero], sel[zero])
+    groups: dict[tuple, list] = {}
+    for state, well in replicas:
+        init = pair_initial_vector(state)
+        counts = groups.setdefault(tuple(init), [init, 0, 0])
+        counts[1 if well is WellLabel.LEFT else 2] += 1
+    value = _stationary_product_sector([tuple(group) for group in groups.values()])
     return _as_probability(value, _REAL_TOL_STATIONARY)
 
 

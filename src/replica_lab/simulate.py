@@ -17,7 +17,11 @@ single trajectories and ``step``.  It merges the closing half rotation of a
 step with the opening half of the next and splits them only where the state
 must be whole (records, the pulse, the last step); it evaluates the kick
 rotations in bulk tables and updates the state with in-place ufuncs.
-``SpinState`` appears only at the API boundary.
+``SpinState`` appears only at the API boundary.  A block's working memory is
+bounded whatever the run length: each stream hands over a chunk of 1024
+draws, which turns step-major one slab of at most 256 steps at a time, and
+the members of a paired block share one table of kick rotations; a block of
+1024 trajectories needs about 11 MB beyond its state and records.
 
 Noise streams are counter-based: trajectory i draws standard normals from
 Philox keyed by (seed, i).  A trajectory's k-th draw is a pure function of
@@ -38,16 +42,19 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .model import ModelParams, SpinState
 
 BLOCK_TRAJECTORIES = 1024
-# Working memory of one block: about (_STEP_CHUNK + (2 + 5 * members) * _TRIG_STEPS)
-# doubles per trajectory, on top of whatever the process running it holds.
-_STEP_CHUNK = 4096  # draws per stream per call
+# Working memory of one block, whatever its number of steps: about
+# _STEP_CHUNK + _SLAB_STEPS + (3 + 3 * members) * _TRIG_STEPS doubles per
+# trajectory (11 MB at 1024 trajectories), on top of the block's state and
+# records and whatever the process running it holds.
+_STEP_CHUNK = 1024  # draws per stream per call, trajectory-major
+_SLAB_STEPS = 256  # steps per step-major slab of kick half-angles
 _TRIG_STEPS = 16  # steps per bulk table of kick cosines and sines
 _TRANSPOSE_STRIP = 64  # trajectories per strip when the draws turn step-major
 
@@ -306,39 +313,45 @@ def _pulse_boundary(pulse: Optional[PulseSpec], cfg: SimConfig) -> int:
     return int(np.clip(round(pulse.t0 / cfg.dt), 0, cfg.n_steps))
 
 
-def _kick_table(
-    noise: np.ndarray,
-    kick: float,
-    cos_t: np.ndarray,
-    sin_t: np.ndarray,
-    tan_t: np.ndarray,
-    denom: np.ndarray,
-) -> None:
-    """Cosines and sines of the kick angles 2*kick*g, step-major: row j is step j.
+def _kick_slabs(streams: Sequence, n_steps: int, kick: float) -> Iterator[np.ndarray]:
+    """Kick half-angles kick*g of every step in step-major (steps, n) slabs: row j is one step.
 
-    ``noise`` is trajectory-major (n, steps); it is transposed in narrow
-    column strips, which keeps the strided reads in cache.  With
-    t = tan(kick*g), cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2): one
-    vectorized tan costs less than a cos and a sin, and the pair has unit
-    norm to rounding for any t.  Members past the first get copies.  tan_t
-    and denom are contiguous (steps, n) scratch, so every block width runs
-    the same tan loop.
+    Each stream fills a trajectory-major chunk of _STEP_CHUNK draws through
+    ``normals(count)``.  The chunk turns step-major once, one slab of at most
+    _SLAB_STEPS steps at a time, in strips of _TRANSPOSE_STRIP trajectories,
+    which keeps the strided reads in cache.  The slabs share one buffer: a
+    slab is valid until the next one is drawn.
     """
-    n = noise.shape[0]
-    for lo in range(0, n, _TRANSPOSE_STRIP):
-        hi = min(lo + _TRANSPOSE_STRIP, n)
-        np.multiply(noise[lo:hi].T, kick, out=tan_t[:, lo:hi])
-    np.tan(tan_t, out=tan_t)
-    c, s = cos_t[:, :n], sin_t[:, :n]
-    np.multiply(tan_t, tan_t, out=c)
-    np.add(c, 1.0, out=denom)
-    np.subtract(1.0, c, out=c)
-    np.divide(c, denom, out=c)
-    np.add(tan_t, tan_t, out=s)
-    np.divide(s, denom, out=s)
-    for col in range(n, cos_t.shape[1], n):
-        cos_t[:, col : col + n] = c
-        sin_t[:, col : col + n] = s
+    n = len(streams)
+    noise = np.empty((n, min(_STEP_CHUNK, n_steps)))
+    slab = np.empty((min(_SLAB_STEPS, n_steps), n))
+    for k in range(0, n_steps, _STEP_CHUNK):
+        size = min(_STEP_CHUNK, n_steps - k)
+        for row, stream in enumerate(streams):
+            noise[row, :size] = stream.normals(size)
+        for lo in range(0, size, _SLAB_STEPS):
+            angles = slab[: min(_SLAB_STEPS, size - lo)]
+            for col in range(0, n, _TRANSPOSE_STRIP):
+                strip = noise[col : col + _TRANSPOSE_STRIP, lo : lo + len(angles)]
+                np.multiply(strip.T, kick, out=angles[:, col : col + _TRANSPOSE_STRIP])
+            yield angles
+
+
+def _kick_table(t: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray, denom: np.ndarray) -> None:
+    """Cosines and sines of the kick angles 2*kick*g from slab rows t of half-angles; clobbers t.
+
+    With t = tan(kick*g), cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2): one
+    vectorized tan costs less than a cos and a sin, and the pair has unit
+    norm to rounding for any t.  Every array is a contiguous (steps, n)
+    block, so every block width runs the same tan loop.
+    """
+    np.tan(t, out=t)
+    np.multiply(t, t, out=cos_t)
+    np.add(cos_t, 1.0, out=denom)
+    np.subtract(1.0, cos_t, out=cos_t)
+    np.divide(cos_t, denom, out=cos_t)
+    np.add(t, t, out=sin_t)
+    np.divide(sin_t, denom, out=sin_t)
 
 
 def _rotate(u: np.ndarray, v: np.ndarray, c, s, p: np.ndarray, q: np.ndarray) -> None:
@@ -360,38 +373,37 @@ def _advance(
     of (x, y) by 2*kick*g, and another half rotation.  The closing half of a
     step and the opening half of the next merge into one full rotation; the
     halves stay apart only around a stop (record, pulse, last step).  Kick
-    rotations come from a bulk table of _TRIG_STEPS steps, each update is an
-    in-place ufunc on a row of ``block.r``, and the state after every step is
-    kept for a bulk norm check at the end of the table.
+    rotations come from a bulk table of _TRIG_STEPS steps, one (n,) row per
+    step that broadcasts over the members; each update is an in-place ufunc
+    on a row of ``block.r``, and the state after every step is kept for a
+    bulk norm check at the end of the table.
     """
     block.at_boundary(0)
     if n_steps == 0:
         return
-    n, width = len(streams), block.r.shape[1]
+    n = len(streams)
     half, full = 0.5 * params.delta * dt, params.delta * dt
     c_half, s_half = math.cos(half), math.sin(half)
     c_full, s_full = math.cos(full), math.sin(full)
     kick = math.sqrt(0.5 * params.gamma * dt)
 
-    x, y, z = block.r
-    p, q = np.empty(width), np.empty(width)
-    noise = np.empty((n, min(_STEP_CHUNK, n_steps)))
+    # a view with one row per member, so that one (n,) kick row broadcasts
+    # over them; one member stays 1-d, where numpy's loops are faster
+    members = block.r.shape[1] // n
+    x, y, z = block.r.reshape(3, members, n) if members > 1 else block.r
+    p, q = np.empty_like(x), np.empty_like(x)
     rows = min(_TRIG_STEPS, n_steps)
-    cos_t, sin_t = np.empty((rows, width)), np.empty((rows, width))
-    tan_t, denom = np.empty((rows, n)), np.empty((rows, n))
-    path = np.empty((rows, 3, width))  # the state after each step of the table
+    cos_t, sin_t, denom = (np.empty((rows, n)) for _ in range(3))
+    path = np.empty((rows,) + block.r.shape)  # the state after each step of the table
     stops = iter(block.stops(n_steps))
     stop = next(stops)
     whole = True  # the state sits on a step boundary: open with a half rotation
 
     k = 0
-    while k < n_steps:
-        size = min(_STEP_CHUNK, n_steps - k)
-        for row, stream in enumerate(streams):
-            noise[row, :size] = stream.normals(size)
-        for lo in range(0, size, rows):
-            m = min(rows, size - lo)
-            _kick_table(noise[:, lo : lo + m], kick, cos_t[:m], sin_t[:m], tan_t[:m], denom[:m])
+    for angles in _kick_slabs(streams, n_steps, kick):
+        for lo in range(0, len(angles), rows):
+            m = min(rows, len(angles) - lo)
+            _kick_table(angles[lo : lo + m], cos_t[:m], sin_t[:m], denom[:m])
             for j in range(m):
                 if whole:
                     _rotate(y, z, c_half, s_half, p, q)

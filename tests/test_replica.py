@@ -20,7 +20,7 @@ from replica_lab.replica import (
     NoStationaryLimitError,
     PairState,
     ReplicaBasisState,
-    _jump_columns,
+    _kron_sum_columns,
     _spec_vectors,
     build_generator,
     evolve,
@@ -160,13 +160,6 @@ class TestBuildGenerator:
             build_generator(0, params)
         with pytest.raises(ValueError):
             build_generator(7, params)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_jump_columns_match_generator(self, n):
-        delta = 1.3
-        connectivity = build_generator(n, ModelParams(delta=delta, gamma=0.7)).jump / (0.5j * delta)
-        cols = np.array([0, 3, 4**n - 1, 4**n // 2 + 1])
-        assert np.array_equal(_jump_columns(n, cols), connectivity.real[:, cols])
 
 
 class TestEvolve:
@@ -423,11 +416,74 @@ class TestMixedInitialMoment:
         params = ModelParams(delta=1.0, gamma=gamma)
         rng = np.random.default_rng(29)
         wells = (WellLabel.LEFT, WellLabel.RIGHT)
-        for order in range(2, 6):
+        for order in range(2, 7):
             for _ in range(3):
                 replicas = [(_random_state(rng), wells[rng.integers(2)]) for _ in range(order)]
                 value = mixed_initial_moment(replicas, params)
                 assert value == pytest.approx(haar_moment(replicas), abs=1e-12)
+
+    def test_kron_sum_columns_match_dense(self):
+        rng = np.random.default_rng(47)
+        mats = [rng.normal(size=(dim, dim)) for dim in (3, 4, 2)]
+        dense = sum(
+            np.kron(np.kron(np.eye(math.prod(d.shape[0] for d in mats[:k])), mat),
+                    np.eye(math.prod(d.shape[0] for d in mats[k + 1:])))
+            for k, mat in enumerate(mats)
+        )
+        cols = np.array([0, 5, 13, 23, 7])
+        assert np.array_equal(_kron_sum_columns(mats, cols), dense[:, cols])
+
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_stationary_one_state_in_both_wells(self, gamma):
+        # one group holding both wells: a single symmetric sector, the same
+        # computation as the MomentSpec with that split
+        params = ModelParams(delta=1.0, gamma=gamma)
+        rng = np.random.default_rng(37)
+        for order in range(2, 7):
+            state = _random_state(rng)
+            for n_left in range(order + 1):
+                replicas = [(state, WellLabel.LEFT)] * n_left + [(state, WellLabel.RIGHT)] * (
+                    order - n_left
+                )
+                value = mixed_initial_moment(replicas, params)
+                assert value == pytest.approx(haar_moment(replicas), abs=1e-12)
+                spec = MomentSpec(state, n_left, order - n_left)
+                assert value == infinite_time_moment(spec, params)
+
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_stationary_every_state_distinct(self, gamma):
+        # six different initial states, localized and not: six one-replica
+        # sectors, whose product is the whole 4^6 space
+        params = ModelParams(delta=1.0, gamma=gamma)
+        inv = 1.0 / math.sqrt(2.0)
+        states = [
+            LEFT,
+            RIGHT,
+            SpinState.normalized(inv, inv),
+            SpinState.normalized(inv, 1j * inv),
+            SpinState.normalized(0.3 - 0.8j, -0.5 + 0.1j),
+            _random_state(np.random.default_rng(41)),
+        ]
+        wells = [WellLabel.LEFT, WellLabel.RIGHT, WellLabel.LEFT, WellLabel.RIGHT] * 2
+        replicas = list(zip(states, wells))
+        for order in (2, 4, 6):
+            head = replicas[:order]
+            assert mixed_initial_moment(head, params) == pytest.approx(haar_moment(head), abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_stationary_groups_of_unequal_size(self, gamma):
+        # three groups of 3, 2 and 1 replicas, wells mixed within groups
+        params = ModelParams(delta=1.0, gamma=gamma)
+        rng = np.random.default_rng(43)
+        a, b, c = (_random_state(rng) for _ in range(3))
+        left, right = WellLabel.LEFT, WellLabel.RIGHT
+        for replicas in (
+            [(a, left), (b, right), (a, right), (c, left), (a, left), (b, left)],
+            [(a, left)] * 3 + [(b, left)] * 2,
+            [(b, right), (c, right), (b, right), (c, left)],
+        ):
+            value = mixed_initial_moment(replicas, params)
+            assert value == pytest.approx(haar_moment(replicas), abs=1e-12)
 
     def test_stationary_matches_eig_oracle(self):
         params = ModelParams(delta=0.9, gamma=2.0)

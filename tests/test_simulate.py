@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,6 +379,47 @@ class TestBlochKernel:
             traj = run_trajectory(cfg, NoiseStream(67, i), RANDOM, pulse)
             assert ens.final_p_left[i] == traj.final_p_left
 
+    def test_working_memory_does_not_grow_with_run_length(self):
+        # one block of 1024 trajectories x 3000 steps: draws held for the
+        # whole block took 25.8 MiB here, the chunk and slab about 12.2 MiB
+        params = ModelParams(delta=1.0, gamma=1.0)
+        cfg = SimConfig(params=params, dt=1e-3, t_final=3.0, seed=79, n_trajectories=1024)
+        runs = (
+            lambda: run_ensemble(cfg, LEFT, workers=1),
+            lambda: run_paired_ensemble(cfg, LEFT, PLUS, pulse_on_b=PulseSpec(0.4, 1.5), workers=1),
+        )
+        for run in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 14 * 2**20
+
+    def test_draws_only_through_positional_normals(self):
+        # the kernel may ask a stream for nothing but normals(count), count at
+        # most _STEP_CHUNK, and must take exactly one draw per step
+        class Recording:
+            def __init__(self, trajectory_id):
+                self.stream = NoiseStream(83, trajectory_id)
+                self.calls = []
+
+            def normals(self, *args, **kwargs):
+                self.calls.append((args, kwargs))
+                return self.stream.normals(*args, **kwargs)
+
+        n_steps = 2 * sim._STEP_CHUNK + 37
+        streams = [Recording(i) for i in range(3)]
+        block = sim._StateBlock(3, [RANDOM], np.array([0, 5, n_steps]))
+        sim._advance(ModelParams(delta=1.0, gamma=1.0), 0.01, n_steps, streams, block)
+        for stream in streams:
+            assert stream.calls
+            for args, kwargs in stream.calls:
+                assert kwargs == {} and len(args) == 1
+                assert 1 <= args[0] <= sim._STEP_CHUNK
+            assert sum(args[0] for args, _ in stream.calls) == n_steps
+
     @pytest.mark.parametrize("gamma", [1.0, 3.0])
     def test_coherence_matches_closed_form(self, gamma):
         # x + iy = 2 a b*: the simulated <a b*> must follow closed_form_offdiag
@@ -428,6 +470,22 @@ class TestRunPairedEnsemble:
         plain = run_trajectory(cfg, NoiseStream(53, 0), state)
         pulsed = run_trajectory(cfg, NoiseStream(53, 0), state, PulseSpec(phi, 0.0))
         assert np.array_equal(plain.p_left_series, pulsed.p_left_series)
+
+    def test_members_match_single_trajectories(self):
+        # two whole blocks and a partial one over two draw chunks, with a pulse
+        # on B at step 777: both members share one kick table, and each must
+        # equal its own single-trajectory run bit for bit.  The pulse step
+        # splits a merged rotation in both members, so the single runs record
+        # there and nowhere else, which splits theirs at the same step.
+        params = ModelParams(delta=1.0, gamma=1.0)
+        pulse = PulseSpec(0.9, 7.77)
+        cfg = SimConfig(params=params, dt=0.01, t_final=13.37, seed=89, n_trajectories=2100,
+                        record_grid=(pulse.t0,))
+        paired = run_paired_ensemble(cfg, PLUS, RANDOM, pulse_on_b=pulse)
+        for i in (0, 1023, 1024, 2099):
+            assert paired.final_p_a[i] == run_trajectory(cfg, NoiseStream(89, i), PLUS).final_p_left
+            pulsed = run_trajectory(cfg, NoiseStream(89, i), RANDOM, pulse)
+            assert paired.final_p_b[i] == pulsed.final_p_left
 
     @pytest.mark.parametrize("t0", [0.0, 1.0])
     def test_pi_pulse_is_exact_noop(self, t0):
