@@ -25,8 +25,6 @@ from .model import (
 from .replica import (
     MomentSpec,
     NoStationaryLimitError,
-    PairState,
-    ReplicaBasisState,
     ReplicaGenerator,
     build_generator,
     evolve,
@@ -38,7 +36,6 @@ from .replica import (
     pair_jump_matrix,
     permutation_symmetry_defect,
     spectrum,
-    trace_selector,
 )
 from .simulate import (
     EnsembleResult,

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from .model import (
+    MAX_MOMENT_ORDER,
     ModelParams,
     SpinState,
     WellLabel,
@@ -58,7 +59,6 @@ _DECAY_GRID_POINTS = 201
 _REPLICA_VS_CLOSED_TOL = 1e-8
 _MOMENT_DEVIATION_TOL = 1e-7
 _SYMMETRY_DEFECT_TOL = 1e-9
-_MOMENTS_MAX_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -259,8 +259,8 @@ def _resolve_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
 def _check_inputs(cfg: ExperimentConfig) -> None:
     """Reject invalid inputs before a command creates its output directory."""
     if cfg.experiment == "moments":
-        if not 1 <= cfg.max_order <= _MOMENTS_MAX_ORDER:
-            raise CliError(f"max-order must be in 1..{_MOMENTS_MAX_ORDER}")
+        if not 1 <= cfg.max_order <= MAX_MOMENT_ORDER:
+            raise CliError(f"max-order must be in 1..{MAX_MOMENT_ORDER}")
         return
     _sim_config(cfg)  # SimConfig checks dt, t-final, trajectories and seed
     if cfg.experiment == "dist":
@@ -545,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("decay", parents=[shared], help="survival-probability decay curves")
     p_moments = sub.add_parser("moments", parents=[shared], help="stationary replica moments")
     p_moments.add_argument(
-        "--max-order", type=int, default=None, help=f"highest pure moment (<= {_MOMENTS_MAX_ORDER})"
+        "--max-order", type=int, default=None, help=f"highest pure moment (<= {MAX_MOMENT_ORDER})"
     )
     p_dist = sub.add_parser("dist", parents=[shared], help="stationary distribution evidence")
     p_dist.add_argument("--bins", type=int, default=None, help="histogram bins")

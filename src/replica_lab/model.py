@@ -34,8 +34,9 @@ EPS_CRIT = 1e-9
 # check raises instead of silently clamping.
 _REALNESS_TOL = 1e-12
 
-# Factorial guard for exact rational moments.
-_MAX_MOMENT_ORDER = 20
+# Highest moment order: the factorial guard of the exact rational moments and
+# the order cap of the replica engine's MomentSpec moments and of the CLI.
+MAX_MOMENT_ORDER = 20
 
 
 class WellLabel(Enum):
@@ -226,8 +227,8 @@ def beta_cross_moment(n: int, m: int) -> Fraction:
         raise ValueError("moment orders must be integers")
     if n < 0 or m < 0:
         raise ValueError(f"moment orders must be >= 0, got n={n}, m={m}")
-    if n + m > _MAX_MOMENT_ORDER:
-        raise ValueError(f"n + m must be <= {_MAX_MOMENT_ORDER}, got {n + m}")
+    if n + m > MAX_MOMENT_ORDER:
+        raise ValueError(f"n + m must be <= {MAX_MOMENT_ORDER}, got {n + m}")
     return Fraction(math.factorial(n) * math.factorial(m), math.factorial(n + m + 1))
 
 

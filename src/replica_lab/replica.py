@@ -1,31 +1,38 @@
 """Replica engine: exact noise-averaged moments of per-realization probabilities.
 
-A single noise realization evolves a pure state, so the probability of ending
-in a given well is itself a random variable.  Averaging a product of n such
-probabilities requires propagating n (ket, bra) path pairs jointly; averaging
-over the white-noise field turns that joint propagation into a linear ODE on
-the 4^n-dimensional tensor space of pair states.  The generator splits into
+A single noise realization turns the Bloch vector r of the initial state by
+one random rotation R(t), so the probability of ending in the left well,
+P = (1 + z)/2 with z the final Bloch z, is itself a random variable.  Its
+moments are noise averages of polynomials in the final Bloch vector.
+
+Averaged over the noise, a function of the Bloch vector evolves under
+L = -i delta J_x - gamma J_z^2: tunneling turns the sphere about x and the
+kicks diffuse the azimuth about z.  Both terms keep the harmonic degree l, so
+L splits into blocks B_l = -(i delta/2)(J+ + J-) - gamma diag(m^2) of
+dimension 2l + 1, built from the ladder matrix sqrt(l(l+1) - m(m+1))
+(L. D. Favro, Phys. Rev. 119, 53 (1960); A. R. Edmonds, Angular Momentum in
+Quantum Mechanics (1957)).
+
+  * MomentSpec moments at finite t: ((1+z)/2)^n ((1-z)/2)^m expands in
+    Legendre polynomials P_l(z), l <= n + m; each term evolves in its block
+    and is read at the initial Bloch angles.
+  * Stationary moments: for gamma, delta > 0 every block with l >= 1 decays,
+    so u = R^T z-hat ends up uniform on the sphere and each replica's
+    probability is (1 +- u.r_k)/2.  The product is a polynomial of degree n
+    in u, which a Gauss-Legendre times trapezoid rule integrates exactly.
+    Nothing is inverted or diagonalized, so the critical point
+    gamma = 2 delta, where B_1 is defective, needs no special care.
+
+The dense path-pair generator is the paper's object.  Propagating n (ket, bra)
+path pairs jointly turns the noise average into a linear ODE on the
+4^n-dimensional tensor space of pair states, with generator
 
   * a diagonal dephasing part, -gamma * (sum of per-pair ket-bra separations)^2,
   * an off-diagonal tunneling part, (i*delta/2) times the Kronecker sum of the
     single-pair jump matrix.
 
-Finite-time moments are contractions of exp(G t) applied to a product initial
-vector; stationary moments come from the projector onto the null space of G.
-Write G = -gamma Z^2 + (i delta / 2) X with Z the real diagonal of total
-ket-bra separations and X the real symmetric tunneling matrix.  Then
-Re(v^H G v) = -gamma |Z v|^2, so for gamma, delta > 0 the null space is
-ker Z cap ker X: real, independent of gamma and delta, and supported on the
-zero-separation coordinates S.  With R and L real bases of the right and left
-null spaces, the projector is P0 = R (L^T R)^-1 L^T, found from X[:, S] and
-X^T[:, S] alone, without eigenvectors.  It therefore stays well-conditioned
-at gamma = 2 delta, where the transient block of G is defective.
-
-MomentSpec moments use the replica-permutation-symmetric sector (dimension
-C(n+3, 3) instead of 4^n); stationary mixed moments use the product of one
-such sector per group of replicas that share an initial state.  The dense
-generator serves finite-time mixed moments, the spectrum, and the "eig" and
-"resolvent" cross-checks.
+It serves finite-time mixed moments, the spectrum and the decay rates, and
+the tests use it as the oracle of the blocks.
 
 Pair-state ordering is fixed as (ket, bra) = (L,L), (L,R), (R,L), (R,R) with
 indices 0..3 and ket-bra separations 0, -1, +1, 0.  Multi-pair indices are
@@ -41,23 +48,19 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial import legendre, polynomial
 
-from .model import ModelParams, SpinState, WellLabel
+from .model import MAX_MOMENT_ORDER, ModelParams, SpinState, WellLabel
 
 # Largest replica count of the dense generator; dim 4^6 = 4096 keeps dense
 # linear algebra workable.
 N_MAX = 6
 
-# Largest replica count of the symmetric sector (dim C(23, 3) = 1771 at 20),
-# the order cap of model.beta_cross_moment.
-SECTOR_N_MAX = 20
-
 # Eigenvalues with |mu| below this times max(gamma, delta) count as the
-# stationary (zero) eigenspace of the "eig" cross-check and of the decay rates.
+# stationary (zero) eigenspace of the decay rates.
 ZERO_EIG_REL_CUTOFF = 1e-10
 
-_REAL_TOL_FINITE = 1e-9
-_REAL_TOL_STATIONARY = 1e-8
+_REAL_TOL = 1e-9
 
 # ket-bra separation per pair state, in units of the well spacing.
 PAIR_XI = np.array([0.0, -1.0, 1.0, 0.0])
@@ -69,57 +72,9 @@ class NoStationaryLimitError(ValueError):
     """Raised when the dynamics has no unique stationary value (gamma or delta zero)."""
 
 
-@dataclass(frozen=True)
-class PairState:
-    """One forward (ket) path and one conjugate (bra) path at an instant."""
-
-    ket_well: WellLabel
-    bra_well: WellLabel
-
-    @property
-    def index(self) -> int:
-        return (0 if self.ket_well is WellLabel.LEFT else 2) + (
-            0 if self.bra_well is WellLabel.LEFT else 1
-        )
-
-    @property
-    def xi(self) -> float:
-        """Ket-bra separation: 0 on diagonal states, -1 / +1 on coherences."""
-        return float(PAIR_XI[self.index])
-
-    @classmethod
-    def from_index(cls, index: int) -> "PairState":
-        if not 0 <= index < 4:
-            raise ValueError(f"pair index must be in 0..3, got {index}")
-        ket = WellLabel.LEFT if index < 2 else WellLabel.RIGHT
-        bra = WellLabel.LEFT if index % 2 == 0 else WellLabel.RIGHT
-        return cls(ket, bra)
-
-
-@dataclass(frozen=True)
-class ReplicaBasisState:
-    """Basis state of n pairs, addressed by a little-endian base-4 index."""
-
-    pairs: tuple[PairState, ...]
-
-    @property
-    def index(self) -> int:
-        return sum(pair.index * 4**k for k, pair in enumerate(self.pairs))
-
-    @property
-    def total_xi(self) -> float:
-        return sum(pair.xi for pair in self.pairs)
-
-    @classmethod
-    def from_index(cls, n_pairs: int, index: int) -> "ReplicaBasisState":
-        if not 0 <= index < 4**n_pairs:
-            raise ValueError(f"index {index} out of range for {n_pairs} pairs")
-        digits = []
-        rest = index
-        for _ in range(n_pairs):
-            digits.append(PairState.from_index(rest % 4))
-            rest //= 4
-        return cls(pairs=tuple(digits))
+def _check_order(n: int, cap: int) -> None:
+    if not 1 <= n <= cap:
+        raise ValueError(f"replica count must be in 1..{cap}, got {n}")
 
 
 def pair_jump_matrix() -> np.ndarray:
@@ -169,8 +124,7 @@ def _total_xi_vector(n: int) -> np.ndarray:
 
 def build_generator(n: int, params: ModelParams) -> ReplicaGenerator:
     """Assemble the 4^n generator: dephasing diagonal plus tunneling Kronecker sum."""
-    if not 1 <= n <= N_MAX:
-        raise ValueError(f"replica count must be in 1..{N_MAX}, got {n}")
+    _check_order(n, N_MAX)
     dephasing = -params.gamma * _total_xi_vector(n) ** 2
     lam = pair_jump_matrix()
     dim = 4**n
@@ -234,15 +188,6 @@ def _kron_chain(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.kron, reversed(list(vectors)))
 
 
-def trace_selector(n: int) -> np.ndarray:
-    """Selector summing the diagonal pair components of every replica.
-
-    Contracting it with any evolved initial vector gives 1 for all times:
-    each replica carries a trace-one averaged density matrix.
-    """
-    return _kron_chain([np.array([1.0, 0.0, 0.0, 1.0])] * n)
-
-
 def _spec_vectors(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray]:
     init = pair_initial_vector(spec.initial_state)
     v0 = _kron_chain([init] * spec.n_pairs)
@@ -250,74 +195,58 @@ def _spec_vectors(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray]:
     return v0, _kron_chain(sels)
 
 
-def _as_probability(value: complex, tol: float) -> float:
-    if abs(value.imag) > tol:
-        raise ArithmeticError(f"moment not real within {tol}: {value!r}")
-    if not (-tol <= value.real <= 1.0 + tol):
-        raise ArithmeticError(f"moment outside [0, 1] within {tol}: {value!r}")
+def _as_probability(value: complex) -> float:
+    if abs(value.imag) > _REAL_TOL:
+        raise ArithmeticError(f"moment not real within {_REAL_TOL}: {value!r}")
+    if not (-_REAL_TOL <= value.real <= 1.0 + _REAL_TOL):
+        raise ArithmeticError(f"moment outside [0, 1] within {_REAL_TOL}: {value!r}")
     return min(1.0, max(0.0, value.real))
 
 
-def _symmetric_sector(n: int) -> tuple[list, dict, np.ndarray, np.ndarray]:
-    """Replica-permutation-symmetric sector: basis, separations and real jump matrix.
-
-    Basis: occupation tuples (n0, n1, n2, n3) over the four pair states, one
-    coefficient per tuple; dimension C(n+3, 3) instead of 4^n.  Valid whenever
-    the initial vector is a tensor power and the selector is contracted against
-    a permutation-invariant evolution, which holds for every MomentSpec.  The
-    generator is diag(-gamma * xi^2) + (i*delta/2) * jump, xi = n2 - n1.
-    """
-    if not 1 <= n <= SECTOR_N_MAX:
-        raise ValueError(f"replica count must be in 1..{SECTOR_N_MAX}, got {n}")
-    occupations = [
-        (i, j, k, n - i - j - k)
-        for i in range(n + 1)
-        for j in range(n + 1 - i)
-        for k in range(n + 1 - i - j)
-    ]
-    index = {occ: pos for pos, occ in enumerate(occupations)}
-    xi = np.array([occ[2] - occ[1] for occ in occupations], dtype=float)
-    lam = pair_jump_matrix()
-    jump = np.zeros((len(occupations), len(occupations)))
-    for occ, col in index.items():
-        for src in range(4):
-            if occ[src] == 0:
-                continue
-            for dst in range(4):
-                if lam[dst, src] == 0.0:
-                    continue
-                moved = list(occ)
-                moved[src] -= 1
-                moved[dst] += 1
-                jump[index[tuple(moved)], col] += lam[dst, src] * moved[dst]
-    return occupations, index, xi, jump
+def _bloch(state: SpinState) -> np.ndarray:
+    """Bloch vector (x, y, z) of a state: x + iy = 2 a* b, z = |a|^2 - |b|^2."""
+    a, b = complex(state.amp_left), complex(state.amp_right)
+    coh = 2.0 * a.conjugate() * b
+    return np.array([coh.real, coh.imag, abs(a) ** 2 - abs(b) ** 2])
 
 
-def _sector_vectors(
-    init: np.ndarray, n_left: int, n_right: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Sector separations, jump, initial coefficients and selected row of one group.
+def _raising(ell: int) -> np.ndarray:
+    """J+ on |ell, m>, m = -ell..ell: J+ |m> = sqrt(ell(ell+1) - m(m+1)) |m+1>."""
+    m = np.arange(-ell, ell, dtype=float)
+    return np.diag(np.sqrt(ell * (ell + 1) - m * (m + 1)), -1)
 
-    The group is n_left + n_right replicas that all start from the pair
-    vector ``init``; n_left of them select the left well.
-    """
-    occupations, index, xi, jump = _symmetric_sector(n_left + n_right)
-    coeffs = np.prod(init ** np.array(occupations), axis=1)
-    return xi, jump, coeffs, index[(n_left, 0, 0, n_right)]
+
+def _block(ell: int, params: ModelParams) -> np.ndarray:
+    """Degree-ell block -(i delta/2)(J+ + J-) - gamma J_z^2 of the noise-averaged generator."""
+    up = _raising(ell)
+    m = np.arange(-ell, ell + 1, dtype=float)
+    return -0.5j * params.delta * (up + up.T) - params.gamma * np.diag(m**2)
 
 
 def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float:
-    """<product of final-well probabilities> at time t, exact to solver tolerance."""
+    """<P_L^n_left P_R^n_right> at time t, exact to solver tolerance.
+
+    The Legendre term a_l P_l(z) of the moment's polynomial contributes
+    a_l (D_l e_0)^H exp(B_l t) e_0, where e_0 = |l, 0> and
+    D_l = exp(-i phi J_z) exp(-i theta J_y) turns it to the initial Bloch
+    angles.
+    """
     _check_time(t)
-    xi, jump, coeffs, row = _sector_vectors(
-        pair_initial_vector(spec.initial_state), spec.n_left, spec.n_right
-    )
+    _check_order(spec.n_pairs, MAX_MOMENT_ORDER)
+    x, y, z = _bloch(spec.initial_state)
     if t == 0.0:
-        return _as_probability(coeffs[row], _REAL_TOL_FINITE)
-    gen = 0.5j * params.delta * jump
-    gen[np.diag_indices_from(gen)] -= params.gamma * xi**2
-    value = scipy.linalg.expm(gen * t)[row] @ coeffs
-    return _as_probability(value, _REAL_TOL_FINITE)
+        return _as_probability(((1.0 + z) / 2.0) ** spec.n_left * ((1.0 - z) / 2.0) ** spec.n_right)
+    theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
+    poly = polynomial.polymul(
+        polynomial.polypow([0.5, 0.5], spec.n_left), polynomial.polypow([0.5, -0.5], spec.n_right)
+    )
+    value = 0j
+    for ell, coeff in enumerate(legendre.poly2leg(poly)):
+        up = _raising(ell)
+        turned = scipy.linalg.expm(0.5 * theta * (up.T - up))[:, ell]
+        turned = turned * np.exp(-1j * phi * np.arange(-ell, ell + 1))
+        value += coeff * (turned.conj() @ scipy.linalg.expm(_block(ell, params) * t)[:, ell])
+    return _as_probability(value)
 
 
 def _require_stationary(params: ModelParams) -> None:
@@ -327,120 +256,34 @@ def _require_stationary(params: ModelParams) -> None:
         )
 
 
-def _null_basis(block: np.ndarray) -> np.ndarray:
-    """Orthonormal real basis of the null space of `block` (all-zero rows dropped)."""
-    return scipy.linalg.null_space(block[np.any(block != 0.0, axis=1)])
+def _haar_average(replicas: Sequence[tuple[SpinState, WellLabel]]) -> float:
+    """Mean of prod_k (1 +- u.r_k)/2 over u uniform on the unit sphere.
 
-
-def _projector_contraction(
-    right: np.ndarray, left: np.ndarray, v0: np.ndarray, sel: np.ndarray
-) -> complex:
-    """sel @ P0 @ v0 with P0 = R (L^T R)^-1 L^T, everything on the coordinates S.
-
-    R and L are bases of the null spaces of X[:, S] and X^T[:, S].
+    r_k is the Bloch vector of replica k's initial state; the sign is + for
+    the left well.  The product is a polynomial of degree n in u.  The
+    trapezoid rule with 2n + 1 nodes in phi is exact on its Fourier modes and
+    leaves a polynomial of degree <= n in cos(theta), which Gauss-Legendre
+    with n//2 + 1 nodes integrates exactly.
     """
-    return complex((sel @ right) @ np.linalg.solve(left.T @ right, left.T @ v0))
+    n = len(replicas)
+    cos_t, weights = legendre.leggauss(n // 2 + 1)
+    phi = 2.0 * np.pi * np.arange(2 * n + 1) / (2 * n + 1)
+    sin_t = np.sqrt(1.0 - cos_t**2)[:, None]
+    u = np.stack(np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t[:, None]))
+    product = np.ones(u.shape[1:])
+    for state, well in replicas:
+        sign = 1.0 if well is WellLabel.LEFT else -1.0
+        product *= 0.5 * (1.0 + sign * np.tensordot(_bloch(state), u, axes=1))
+    return float(weights @ product.sum(axis=1)) / (2.0 * len(phi))
 
 
-def _kron_sum_columns(mats: Sequence[np.ndarray], cols: np.ndarray) -> np.ndarray:
-    """Columns ``cols`` of the Kronecker sum of square ``mats``, built without the rest.
-
-    The index is row-major over the factors: the last factor varies fastest.
-    """
-    dims = [len(mat) for mat in mats]
-    out = np.zeros((math.prod(dims), len(cols)))
-    which = np.arange(len(cols))
-    stride = len(out)
-    for mat, dim in zip(mats, dims):
-        stride //= dim
-        digit = (cols // stride) % dim
-        out[cols + (np.arange(dim)[:, None] - digit) * stride, which] += mat[:, digit]
-    return out
-
-
-def _stationary_product_sector(groups: Sequence[tuple[np.ndarray, int, int]]) -> complex:
-    """Stationary moment of replica groups, from the product of their symmetric sectors.
-
-    Group (init, n_left, n_right) is n_left + n_right replicas that start from
-    the pair vector ``init``, n_left of them selecting the left well.  The
-    generator commutes with every permutation of the replicas, so each group
-    stays in its own symmetric sector and the product of the sectors is
-    invariant: its jump matrix is the Kronecker sum of the sector jumps, its
-    separation the sum of theirs, and its initial vector the Kronecker
-    product of their coefficient vectors.  The value is the null-space
-    projector on the zero-separation coordinates; one group is a MomentSpec.
-    """
-    sectors = [_sector_vectors(*group) for group in groups]
-    dims = [len(xi) for xi, _, _, _ in sectors]
-    xi = functools.reduce(lambda a, b: np.add.outer(a, b).ravel(), [sec[0] for sec in sectors])
-    coeffs = functools.reduce(np.kron, [sec[2] for sec in sectors])
-    row = np.ravel_multi_index([sec[3] for sec in sectors], dims)
-    zero = np.flatnonzero(xi == 0.0)
-    jumps = [sec[1] for sec in sectors]
-    right = _null_basis(_kron_sum_columns(jumps, zero))
-    if all(np.array_equal(jump, jump.T) for jump in jumps):
-        left = right  # single replicas: a symmetric Kronecker sum, as the dense X
-    else:
-        left = _null_basis(_kron_sum_columns([jump.T for jump in jumps], zero))
-    return _projector_contraction(right, left, coeffs[zero], (zero == row).astype(float))
-
-
-def _zero_cutoff(params: ModelParams) -> float:
-    return ZERO_EIG_REL_CUTOFF * max(params.gamma, params.delta)
-
-
-def _eig_contraction(matrix: np.ndarray, v0: np.ndarray, sel: np.ndarray, cutoff: float) -> complex:
-    """Contract the spectral projector onto the zero eigenspace: sel @ P0 @ v0."""
-    eigvals, eigvecs = np.linalg.eig(matrix)
-    mask = np.abs(eigvals) < cutoff
-    if not mask.any():
-        raise ArithmeticError("no zero eigenvalue found; generator is not stationary")
-    coeffs = np.linalg.solve(eigvecs, v0.astype(complex))
-    return complex(sel @ (eigvecs[:, mask] @ coeffs[mask]))
-
-
-def _resolvent_contraction(
-    matrix: np.ndarray, v0: np.ndarray, sel: np.ndarray, scale: float
-) -> complex:
-    """Richardson-extrapolated lam * sel @ (lam I - G)^-1 @ v0 as lam -> 0+."""
-    lam0 = 1e-6 * scale
-    eye = np.eye(matrix.shape[0], dtype=complex)
-    values = []
-    for lam in (lam0, lam0 / 2.0, lam0 / 4.0):
-        x = np.linalg.solve(lam * eye - matrix, v0.astype(complex))
-        values.append(lam * (sel @ x))
-    f1, f2, f4 = values
-    g1 = 2.0 * f2 - f1
-    g2 = 2.0 * f4 - f2
-    return (4.0 * g2 - g1) / 3.0
-
-
-def infinite_time_moment(spec: MomentSpec, params: ModelParams, method: str = "auto") -> float:
-    """Stationary limit of :func:`finite_time_moment`.
-
-    method:
-      * "auto" or "reduced": null-space projector of the symmetric sector,
-        dimension C(n+3, 3), for n up to SECTOR_N_MAX (primary).
-      * "eig": spectral projector of the dense 4^n generator from its full
-        eigendecomposition (cross-check, n <= N_MAX).
-      * "resolvent": small-frequency resolvent residue of the dense generator
-        with Richardson extrapolation (cross-check mirroring the
-        Laplace-domain argument, n <= N_MAX).
-    """
+def infinite_time_moment(spec: MomentSpec, params: ModelParams) -> float:
+    """Stationary limit of :func:`finite_time_moment`: the Haar average of its polynomial."""
     _require_stationary(params)
-    if method in ("auto", "reduced"):
-        groups = [(pair_initial_vector(spec.initial_state), spec.n_left, spec.n_right)]
-        value = _stationary_product_sector(groups)
-    elif method in ("eig", "resolvent"):
-        gen = build_generator(spec.n_pairs, params)
-        v0, sel = _spec_vectors(spec)
-        if method == "eig":
-            value = _eig_contraction(gen.matrix(), v0, sel, _zero_cutoff(params))
-        else:
-            value = _resolvent_contraction(gen.matrix(), v0, sel, max(params.gamma, params.delta))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _as_probability(value, _REAL_TOL_STATIONARY)
+    _check_order(spec.n_pairs, MAX_MOMENT_ORDER)
+    state = spec.initial_state
+    replicas = [(state, WellLabel.LEFT)] * spec.n_left + [(state, WellLabel.RIGHT)] * spec.n_right
+    return _as_probability(_haar_average(replicas))
 
 
 def mixed_initial_moment(
@@ -452,26 +295,17 @@ def mixed_initial_moment(
 
     Generalizes MomentSpec to correlators that pair different initial states
     against the same noise, e.g. the cross term of an initial-state
-    sensitivity experiment.  t=None takes the stationary limit in the product
-    of the symmetric sectors of the groups of replicas that share an initial
-    state; a finite t evolves the dense 4^n generator.
+    sensitivity experiment.  t=None takes the stationary limit as a Haar
+    average; a finite t evolves the dense 4^n generator.
     """
     n = len(replicas)
-    if not 1 <= n <= N_MAX:
-        raise ValueError(f"need 1..{N_MAX} replicas, got {n}")
-    if t is not None:
-        v0 = _kron_chain([pair_initial_vector(state) for state, _ in replicas])
-        sel = _kron_chain([_selector(well) for _, well in replicas])
-        value = sel @ evolve(build_generator(n, params), v0, t)
-        return _as_probability(value, _REAL_TOL_FINITE)
-    _require_stationary(params)
-    groups: dict[tuple, list] = {}
-    for state, well in replicas:
-        init = pair_initial_vector(state)
-        counts = groups.setdefault(tuple(init), [init, 0, 0])
-        counts[1 if well is WellLabel.LEFT else 2] += 1
-    value = _stationary_product_sector([tuple(group) for group in groups.values()])
-    return _as_probability(value, _REAL_TOL_STATIONARY)
+    _check_order(n, N_MAX)
+    if t is None:
+        _require_stationary(params)
+        return _as_probability(_haar_average(replicas))
+    v0 = _kron_chain([pair_initial_vector(state) for state, _ in replicas])
+    sel = _kron_chain([_selector(well) for _, well in replicas])
+    return _as_probability(sel @ evolve(build_generator(n, params), v0, t))
 
 
 def spectrum(gen: ReplicaGenerator) -> np.ndarray:
@@ -479,6 +313,10 @@ def spectrum(gen: ReplicaGenerator) -> np.ndarray:
     eigvals = np.linalg.eigvals(gen.matrix())
     order = np.lexsort((-eigvals.imag, -eigvals.real))
     return eigvals[order]
+
+
+def _zero_cutoff(params: ModelParams) -> float:
+    return ZERO_EIG_REL_CUTOFF * max(params.gamma, params.delta)
 
 
 def moment_decay_rates(

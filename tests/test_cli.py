@@ -2,10 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import replica_lab
 from replica_lab.cli import main
 
 
@@ -65,16 +70,18 @@ class TestMoments:
             assert defect["defect"] < 1e-9
 
     def test_conjecture_extension_orders(self, tmp_path):
-        out = tmp_path / "run"
-        assert run_cli("moments", "--max-order", "6", "--out-dir", str(out)) == 0
-        payload = read_json(out / "moments.json")
-        values = {(e["n_left"], e["n_right"]): e["value"] for e in payload["moments"]}
-        assert values[(5, 0)] == pytest.approx(1 / 6, abs=1e-7)
-        assert values[(6, 0)] == pytest.approx(1 / 7, abs=1e-7)
+        for max_order in (6, 20):
+            out = tmp_path / f"run{max_order}"
+            assert run_cli("moments", "--max-order", str(max_order), "--out-dir", str(out)) == 0
+            payload = read_json(out / "moments.json")
+            values = {(e["n_left"], e["n_right"]): e["value"] for e in payload["moments"]}
+            assert values[(5, 0)] == pytest.approx(1 / 6, abs=1e-7)
+            assert values[(6, 0)] == pytest.approx(1 / 7, abs=1e-7)
+        assert values[(20, 0)] == pytest.approx(1 / 21, abs=1e-7)
 
     def test_critical_point_symmetry(self, tmp_path):
-        # gamma = 2 delta makes the transient block defective; the null-space
-        # projector does not see it
+        # gamma = 2 delta makes the transient block defective; the stationary
+        # Haar average does not see it
         out = tmp_path / "run"
         assert run_cli("moments", "--gamma", "2", "--out-dir", str(out)) == 0
         payload = read_json(out / "moments.json")
@@ -211,7 +218,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["moments", "--max-order", "9"],
+            ["moments", "--max-order", "21"],
             ["moments", "--max-order", "0"],
             ["dist", "--seed", "-1"],
             ["dist", "--trajectories", "0"],
@@ -253,3 +260,16 @@ class TestReproducibility:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         second_manifest = read_json(out2 / "manifest.json")
         assert second_manifest["outputs"] == manifest["outputs"]
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_special_out(self):
+        # scipy.special adds about 2 MiB of peak RSS to every process
+        src = str(Path(replica_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, replica_lab.cli; print('scipy.special' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from dense_oracles import eig_moment, resolvent_moment
 
 from replica_lab.model import (
+    MAX_MOMENT_ORDER,
     ModelParams,
     SpinState,
     WellLabel,
@@ -15,12 +17,11 @@ from replica_lab.model import (
     relaxation_times,
 )
 from replica_lab.replica import (
-    SECTOR_N_MAX,
+    PAIR_XI,
     MomentSpec,
     NoStationaryLimitError,
-    PairState,
-    ReplicaBasisState,
-    _kron_sum_columns,
+    _block,
+    _kron_chain,
     _spec_vectors,
     build_generator,
     evolve,
@@ -32,7 +33,6 @@ from replica_lab.replica import (
     pair_jump_matrix,
     permutation_symmetry_defect,
     spectrum,
-    trace_selector,
 )
 
 LEFT = SpinState.localized(WellLabel.LEFT)
@@ -100,24 +100,6 @@ class TestPairBasis:
         assert np.array_equal(lam, lam.T)
         assert np.array_equal(lam.sum(axis=1), np.zeros(4))
 
-    def test_pair_state_index_and_xi(self):
-        states = [PairState.from_index(i) for i in range(4)]
-        assert [s.index for s in states] == [0, 1, 2, 3]
-        assert [s.xi for s in states] == [0.0, -1.0, 1.0, 0.0]
-        assert states[1].ket_well is WellLabel.LEFT and states[1].bra_well is WellLabel.RIGHT
-
-    def test_basis_state_roundtrip(self):
-        for index in range(64):
-            state = ReplicaBasisState.from_index(3, index)
-            assert state.index == index
-            assert -3 <= state.total_xi <= 3
-
-    def test_basis_state_little_endian(self):
-        # index 6 = 2 + 1*4: pair 0 in state 2 (ket R), pair 1 in state 1 (bra R)
-        state = ReplicaBasisState.from_index(2, 6)
-        assert state.pairs[0].index == 2
-        assert state.pairs[1].index == 1
-
 
 class TestBuildGenerator:
     def test_single_pair_dephasing_diagonal(self):
@@ -138,8 +120,8 @@ class TestBuildGenerator:
         gen = build_generator(3, ModelParams(delta=1.0, gamma=1.0))
         assert np.all(gen.dephasing_diag <= 0.0)
         for index in range(gen.dim):
-            state = ReplicaBasisState.from_index(3, index)
-            if all(p.xi == 0.0 for p in state.pairs):
+            digits = [(index // 4**k) % 4 for k in range(3)]  # little-endian, pair 0 first
+            if all(PAIR_XI[d] == 0.0 for d in digits):
                 assert gen.dephasing_diag[index] == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -185,7 +167,7 @@ class TestEvolve:
         v0 = np.kron(
             *([pair_initial_vector(LEFT)] * 2)
         ) if n == 2 else pair_initial_vector(LEFT)
-        sel = trace_selector(n)
+        sel = _kron_chain([[1, 0, 0, 1]] * n)
         for t in np.linspace(0.0, 12.0, 13):
             total = sel @ evolve(gen, v0, float(t))
             assert abs(total - 1.0) < 1e-9
@@ -292,19 +274,19 @@ class TestFiniteTimeMoment:
         # sum_k C(n, k) <P_L^k P_R^(n-k)> = <(P_L + P_R)^n> = 1 at every t
         params = ModelParams(delta=1.0, gamma=2.0)
         state = SpinState.normalized(1, 2j)
-        n = 7
-        for t in (0.4, 2.5):
-            total = sum(
-                math.comb(n, k) * finite_time_moment(MomentSpec(state, k, n - k), params, t)
-                for k in range(n + 1)
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
+        for n in (7, 20):
+            for t in (0.4, 2.5):
+                total = sum(
+                    math.comb(n, k) * finite_time_moment(MomentSpec(state, k, n - k), params, t)
+                    for k in range(n + 1)
+                )
+                assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_sector_order_cap(self):
         params = ModelParams(delta=1.0, gamma=1.0)
-        assert finite_time_moment(MomentSpec(LEFT, SECTOR_N_MAX, 0), params, 0.0) == 1.0
+        assert finite_time_moment(MomentSpec(LEFT, MAX_MOMENT_ORDER, 0), params, 0.0) == 1.0
         with pytest.raises(ValueError):
-            finite_time_moment(MomentSpec(LEFT, SECTOR_N_MAX + 1, 0), params, 0.2)
+            finite_time_moment(MomentSpec(LEFT, MAX_MOMENT_ORDER + 1, 0), params, 0.2)
 
     def test_moment_spec_validation(self):
         with pytest.raises(ValueError):
@@ -331,10 +313,10 @@ class TestInfiniteTimeMoment:
     def test_methods_agree(self):
         params = ModelParams(delta=0.9, gamma=2.0)
         for spec in (MomentSpec(LEFT, 2, 0), MomentSpec(LEFT, 2, 1), MomentSpec(LEFT, 1, 2)):
-            eig = infinite_time_moment(spec, params, method="eig")
-            reduced = infinite_time_moment(spec, params, method="reduced")
-            resolvent = infinite_time_moment(spec, params, method="resolvent")
-            assert reduced == pytest.approx(eig, abs=1e-10)
+            eig = eig_moment(spec, params)
+            blocks = infinite_time_moment(spec, params)
+            resolvent = resolvent_moment(spec, params)
+            assert blocks == pytest.approx(eig, abs=1e-10)
             assert resolvent == pytest.approx(eig, abs=1e-8)
 
     def test_critically_damped_point_meets_contract(self):
@@ -364,10 +346,10 @@ class TestInfiniteTimeMoment:
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_order_cap(self, gamma):
         params = ModelParams(delta=1.0, gamma=gamma)
-        value = infinite_time_moment(MomentSpec(LEFT, SECTOR_N_MAX, 0), params)
-        assert value == pytest.approx(1.0 / (SECTOR_N_MAX + 1), abs=1e-11)
+        value = infinite_time_moment(MomentSpec(LEFT, MAX_MOMENT_ORDER, 0), params)
+        assert value == pytest.approx(1.0 / (MAX_MOMENT_ORDER + 1), abs=1e-11)
         with pytest.raises(ValueError):
-            infinite_time_moment(MomentSpec(LEFT, SECTOR_N_MAX + 1, 0), params)
+            infinite_time_moment(MomentSpec(LEFT, MAX_MOMENT_ORDER + 1, 0), params)
 
     def test_no_stationary_limit(self):
         with pytest.raises(NoStationaryLimitError):
@@ -375,9 +357,12 @@ class TestInfiniteTimeMoment:
         with pytest.raises(NoStationaryLimitError):
             infinite_time_moment(MomentSpec(LEFT, 1, 0), ModelParams(delta=0.0, gamma=1.0))
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            infinite_time_moment(MomentSpec(LEFT, 1, 0), ModelParams(delta=1.0, gamma=1.0), "qr")
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_blocks_above_degree_zero_decay(self, gamma):
+        # the premise of the stationary value: only the l = 0 term survives
+        params = ModelParams(delta=1.0, gamma=gamma)
+        for ell in range(1, MAX_MOMENT_ORDER + 1):
+            assert np.linalg.eigvals(_block(ell, params)).real.max() < 0.0
 
 
 class TestMixedInitialMoment:
@@ -422,21 +407,10 @@ class TestMixedInitialMoment:
                 value = mixed_initial_moment(replicas, params)
                 assert value == pytest.approx(haar_moment(replicas), abs=1e-12)
 
-    def test_kron_sum_columns_match_dense(self):
-        rng = np.random.default_rng(47)
-        mats = [rng.normal(size=(dim, dim)) for dim in (3, 4, 2)]
-        dense = sum(
-            np.kron(np.kron(np.eye(math.prod(d.shape[0] for d in mats[:k])), mat),
-                    np.eye(math.prod(d.shape[0] for d in mats[k + 1:])))
-            for k, mat in enumerate(mats)
-        )
-        cols = np.array([0, 5, 13, 23, 7])
-        assert np.array_equal(_kron_sum_columns(mats, cols), dense[:, cols])
-
     @pytest.mark.parametrize("gamma", RATIOS)
     def test_stationary_one_state_in_both_wells(self, gamma):
-        # one group holding both wells: a single symmetric sector, the same
-        # computation as the MomentSpec with that split
+        # one state in both wells, left replicas first: the same computation
+        # as the MomentSpec with that split
         params = ModelParams(delta=1.0, gamma=gamma)
         rng = np.random.default_rng(37)
         for order in range(2, 7):
@@ -452,8 +426,7 @@ class TestMixedInitialMoment:
 
     @pytest.mark.parametrize("gamma", RATIOS)
     def test_stationary_every_state_distinct(self, gamma):
-        # six different initial states, localized and not: six one-replica
-        # sectors, whose product is the whole 4^6 space
+        # six different initial states, localized and not
         params = ModelParams(delta=1.0, gamma=gamma)
         inv = 1.0 / math.sqrt(2.0)
         states = [
@@ -490,7 +463,7 @@ class TestMixedInitialMoment:
         rng = np.random.default_rng(31)
         state = _random_state(rng)
         replicas = [(state, WellLabel.LEFT), (state, WellLabel.LEFT), (state, WellLabel.RIGHT)]
-        expected = infinite_time_moment(MomentSpec(state, 2, 1), params, method="eig")
+        expected = eig_moment(MomentSpec(state, 2, 1), params)
         assert mixed_initial_moment(replicas, params) == pytest.approx(expected, abs=1e-10)
 
     def test_no_stationary_limit(self):
