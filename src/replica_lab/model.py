@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 # Relative width of the window around gamma = 2*delta inside which the
 # analytic critical limit replaces the direct two-exponential evaluation.
 EPS_CRIT = 1e-9
@@ -138,6 +140,17 @@ class SpinState:
     @property
     def p_right(self) -> float:
         return abs(self.amp_right) ** 2
+
+
+def _bloch(state: SpinState) -> np.ndarray:
+    """Bloch vector (x, y, z) of a|L> + b|R>: x + iy = 2 a b*, z = |a|^2 - |b|^2.
+
+    So P_left = (1 + z)/2 and the coherence a b* = (x + iy)/2.  The simulator
+    steps this vector; the replica engine reads its angles.
+    """
+    a, b = complex(state.amp_left), complex(state.amp_right)
+    coh = 2.0 * a * b.conjugate()
+    return np.array([coh.real, coh.imag, (a.real**2 + a.imag**2) - (b.real**2 + b.imag**2)])
 
 
 def _check_time(t: float) -> None:

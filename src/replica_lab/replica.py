@@ -50,7 +50,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial import legendre, polynomial
 
-from .model import MAX_MOMENT_ORDER, ModelParams, SpinState, WellLabel
+from .model import MAX_MOMENT_ORDER, ModelParams, SpinState, WellLabel, _bloch, _check_time
 
 # Largest replica count of the dense generator; dim 4^6 = 4096 keeps dense
 # linear algebra workable.
@@ -136,11 +136,6 @@ def build_generator(n: int, params: ModelParams) -> ReplicaGenerator:
     return ReplicaGenerator(n_pairs=n, params=params, dephasing_diag=dephasing, jump=jump)
 
 
-def _check_time(t: float) -> None:
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
-
-
 def evolve(gen: ReplicaGenerator, v0: np.ndarray, t: float) -> np.ndarray:
     """Propagate a coefficient vector: exp(G t) @ v0."""
     v0 = np.asarray(v0, dtype=complex)
@@ -203,13 +198,6 @@ def _as_probability(value: complex) -> float:
     return min(1.0, max(0.0, value.real))
 
 
-def _bloch(state: SpinState) -> np.ndarray:
-    """Bloch vector (x, y, z) of a state: x + iy = 2 a* b, z = |a|^2 - |b|^2."""
-    a, b = complex(state.amp_left), complex(state.amp_right)
-    coh = 2.0 * a.conjugate() * b
-    return np.array([coh.real, coh.imag, abs(a) ** 2 - abs(b) ** 2])
-
-
 def _raising(ell: int) -> np.ndarray:
     """J+ on |ell, m>, m = -ell..ell: J+ |m> = sqrt(ell(ell+1) - m(m+1)) |m+1>."""
     m = np.arange(-ell, ell, dtype=float)
@@ -229,14 +217,15 @@ def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float
     The Legendre term a_l P_l(z) of the moment's polynomial contributes
     a_l (D_l e_0)^H exp(B_l t) e_0, where e_0 = |l, 0> and
     D_l = exp(-i phi J_z) exp(-i theta J_y) turns it to the initial Bloch
-    angles.
+    angles.  The blocks take phi as the azimuth of x + iy = 2 a* b, the
+    mirror image in y of ``model._bloch``, hence the minus sign below.
     """
     _check_time(t)
     _check_order(spec.n_pairs, MAX_MOMENT_ORDER)
     x, y, z = _bloch(spec.initial_state)
     if t == 0.0:
         return _as_probability(((1.0 + z) / 2.0) ** spec.n_left * ((1.0 - z) / 2.0) ** spec.n_right)
-    theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
+    theta, phi = math.atan2(math.hypot(x, y), z), -math.atan2(y, x)
     poly = polynomial.polymul(
         polynomial.polypow([0.5, 0.5], spec.n_left), polynomial.polypow([0.5, -0.5], spec.n_right)
     )

@@ -46,7 +46,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import ModelParams, SpinState
+from .model import ModelParams, SpinState, _bloch
 
 BLOCK_TRAJECTORIES = 1024
 # Working memory of one block, whatever its number of steps: about
@@ -223,13 +223,6 @@ class PairedEnsembleResult:
     mean_sq_diff: float
     se_sq_diff: float
     max_norm_drift: float
-
-
-def _bloch(state: SpinState) -> np.ndarray:
-    """Bloch vector (x, y, z) of a state: x + iy = 2 a b*, z = |a|^2 - |b|^2."""
-    a, b = complex(state.amp_left), complex(state.amp_right)
-    coh = 2.0 * a * b.conjugate()
-    return np.array([coh.real, coh.imag, (a.real**2 + a.imag**2) - (b.real**2 + b.imag**2)])
 
 
 def _spin_state(r: np.ndarray) -> SpinState:

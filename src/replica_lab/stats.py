@@ -18,6 +18,9 @@ from .model import beta_cross_moment
 
 _VALUE_TOL = 1e-9
 
+# Fewest samples a moment report accepts (``moments`` and ``cross_moment``).
+MIN_MOMENT_SAMPLES = 100
+
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -64,8 +67,8 @@ def moments(samples: SampleSet, max_order: int) -> list[MomentReport]:
     """Sample moments <P^n> for n = 1..max_order against the uniform references."""
     if not 1 <= max_order <= 10:
         raise ValueError("max_order must be in 1..10")
-    if samples.size < 100:
-        raise ValueError(f"need >= 100 samples for moment reports, got {samples.size}")
+    if samples.size < MIN_MOMENT_SAMPLES:
+        raise ValueError(f"need >= {MIN_MOMENT_SAMPLES} samples for moment reports, got {samples.size}")
     return [
         _report(samples.values**n, (n, 0), 1.0 / (n + 1)) for n in range(1, max_order + 1)
     ]
@@ -76,8 +79,8 @@ def cross_moment(samples: SampleSet, n: int, m: int) -> MomentReport:
     reference = float(beta_cross_moment(n, m))
     if n == 0 and m == 0:
         return MomentReport((0, 0), 1.0, 0.0, reference, 0.0)
-    if samples.size < 100:
-        raise ValueError(f"need >= 100 samples for moment reports, got {samples.size}")
+    if samples.size < MIN_MOMENT_SAMPLES:
+        raise ValueError(f"need >= {MIN_MOMENT_SAMPLES} samples for moment reports, got {samples.size}")
     xs = samples.values**n * (1.0 - samples.values) ** m
     return _report(xs, (n, m), reference)
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import replica_lab
-from replica_lab.cli import main
+from replica_lab.cli import _build_parser, main
 
 
 def run_cli(*args) -> int:
@@ -226,16 +227,50 @@ class TestConfigHandling:
             ["dist", "--max-order", "-2"],
             ["sense", "--state-a", "1,0,1,0"],
             ["pulse", "--t0", "-1"],
+            ["moments", "--gamma", "0", "--t-final", "5"],
+            ["moments", "--delta", "0", "--t-final", "3"],
+            ["pulse", "--t0", "10", "--t-final", "5"],
+            ["dist", "--trajectories", "40"],
+            ["dist", "--trajectories", "80"],
+            ["sense", "--trajectories", "1"],
+            ["pulse", "--trajectories", "1"],
         ],
         ids=[
             "max-order-high", "max-order-low", "seed", "trajectories", "bins",
-            "dist-max-order", "state", "t0",
+            "dist-max-order", "state", "t0", "moments-gamma-0", "moments-delta-0",
+            "t0-past-horizon", "dist-40", "dist-80", "sense-1", "pulse-1",
         ],
     )
     def test_invalid_input_creates_no_directory(self, tmp_path, argv):
         out = tmp_path / "run"
         assert run_cli(*argv, "--out-dir", str(out)) == 2
         assert not out.exists()
+
+
+class TestParser:
+    def test_option_sets_types_and_defaults(self):
+        shared = {
+            "--gamma": float, "--delta": float, "--dt": float, "--t-final": float,
+            "--trajectories": int, "--seed": int, "--out-dir": str, "--config": str,
+        }
+        expected = {
+            "decay": shared,
+            "moments": shared | {"--max-order": int},
+            "dist": shared | {"--bins": int, "--max-order": int},
+            "sense": shared | {"--state-a": str, "--state-b": str},
+            "pulse": shared | {"--phi": float, "--t0": float, "--state-a": str},
+        }
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(expected)
+        for name, subparser in sub.choices.items():
+            options = {
+                option: action for action in subparser._actions for option in action.option_strings
+            }
+            assert set(options) == set(expected[name]) | {"-h", "--help"}, name
+            for option, kind in expected[name].items():
+                assert options[option].type is kind, (name, option)
+                assert options[option].default is None, (name, option)
 
 
 class TestReproducibility:
@@ -260,6 +295,34 @@ class TestReproducibility:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         second_manifest = read_json(out2 / "manifest.json")
         assert second_manifest["outputs"] == manifest["outputs"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sense", "--state-a", "0.6,0.8,0,0", "--state-b", "0,0.6,0.8,0", "--gamma", "0.7"],
+            ["pulse", "--state-a", "0.36,0.48,-0.64,-0.48", "--phi", "0.5", "--t0", "0.3",
+             "--gamma", "0.3"],
+        ],
+        ids=["sense", "pulse"],
+    )
+    def test_rerun_from_manifest_config_file_is_byte_identical(self, tmp_path, argv):
+        out1 = tmp_path / "first"
+        flags = ["--t-final", "2", "--trajectories", "300", "--seed", "17"]
+        assert run_cli(*argv, *flags, "--out-dir", str(out1)) == 0
+        manifest = read_json(out1 / "manifest.json")
+
+        # every resolved key, states and phi included, goes through the config file
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(
+            f"{key} = {value}\n" for key, value in manifest["config"].items()
+            if key not in ("experiment", "out-dir")
+        ))
+        out2 = tmp_path / "second"
+        assert run_cli(argv[0], "--config", str(config), "--out-dir", str(out2)) == 0
+        name = f"{argv[0]}.json"
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        second_config = read_json(out2 / "manifest.json")["config"]
+        assert second_config == manifest["config"] | {"out-dir": str(out2)}
 
 
 class TestImports:
