@@ -235,9 +235,9 @@ def _check_inputs(cfg: ExperimentConfig) -> None:
             raise CliError("bins must be >= 2")
         if _dist_moment_order(cfg) < 1:
             raise CliError("max-order must be >= -1 (dist reports min(max-order + 2, 6) moments)")
+    if cfg.experiment in ("decay", "sense", "pulse") and cfg.trajectories < 2:
+        raise CliError(f"{cfg.experiment} needs trajectories >= 2 for a standard error")
     if cfg.experiment in ("sense", "pulse"):
-        if cfg.trajectories < 2:
-            raise CliError(f"{cfg.experiment} needs trajectories >= 2 for a standard error")
         _state_from(cfg.state_a)
     if cfg.experiment == "sense":
         _state_from(cfg.state_b)
@@ -314,7 +314,9 @@ def cmd_decay(cfg: ExperimentConfig) -> _Outcome:
     spec = MomentSpec(left, 1, 0)
     worst = 0.0
     rows = []
-    for i, t in enumerate(ensemble.times):  # snapped to step boundaries
+    # grid points closer than dt snap to the same step boundary: one row each
+    times, first = np.unique(ensemble.times, return_index=True)
+    for t, i in zip(times, first):
         closed = closed_form_p_ll(params, float(t))
         replica = finite_time_moment(spec, params, float(t))
         offdiag = closed_form_offdiag(params, float(t))

@@ -15,7 +15,8 @@ Quantum Mechanics (1957)).
 
   * MomentSpec moments at finite t: ((1+z)/2)^n ((1-z)/2)^m expands in
     Legendre polynomials P_l(z), l <= n + m; each term evolves in its block
-    and is read at the initial Bloch angles.
+    and is read at the initial Bloch angles.  The moment's decay rates are
+    the eigenvalues of those blocks, kept where the term weighs them.
   * Stationary moments: for gamma, delta > 0 every block with l >= 1 decays,
     so u = R^T z-hat ends up uniform on the sphere and each replica's
     probability is (1 +- u.r_k)/2.  The product is a polynomial of degree n
@@ -31,8 +32,8 @@ path pairs jointly turns the noise average into a linear ODE on the
   * an off-diagonal tunneling part, (i*delta/2) times the Kronecker sum of the
     single-pair jump matrix.
 
-It serves finite-time mixed moments, the spectrum and the decay rates, and
-the tests use it as the oracle of the blocks.
+It now serves only finite-time mixed moments, ``spectrum`` and the tests,
+which use it as the oracle of the blocks.
 
 Pair-state ordering is fixed as (ket, bra) = (L,L), (L,R), (R,L), (R,R) with
 indices 0..3 and ket-bra separations 0, -1, +1, 0.  Multi-pair indices are
@@ -59,6 +60,10 @@ N_MAX = 6
 # Eigenvalues with |mu| below this times max(gamma, delta) count as the
 # stationary (zero) eigenspace of the decay rates.
 ZERO_EIG_REL_CUTOFF = 1e-10
+
+# Modes whose weight is below this share of the total weight are absent from a
+# moment's decay rates.
+_REL_WEIGHT_TOL = 1e-9
 
 _REAL_TOL = 1e-9
 
@@ -183,13 +188,6 @@ def _kron_chain(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.kron, reversed(list(vectors)))
 
 
-def _spec_vectors(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray]:
-    init = pair_initial_vector(spec.initial_state)
-    v0 = _kron_chain([init] * spec.n_pairs)
-    sels = [_selector(WellLabel.LEFT)] * spec.n_left + [_selector(WellLabel.RIGHT)] * spec.n_right
-    return v0, _kron_chain(sels)
-
-
 def _as_probability(value: complex) -> float:
     if abs(value.imag) > _REAL_TOL:
         raise ArithmeticError(f"moment not real within {_REAL_TOL}: {value!r}")
@@ -211,30 +209,37 @@ def _block(ell: int, params: ModelParams) -> np.ndarray:
     return -0.5j * params.delta * (up + up.T) - params.gamma * np.diag(m**2)
 
 
-def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float:
-    """<P_L^n_left P_R^n_right> at time t, exact to solver tolerance.
+def _legendre_terms(spec: MomentSpec, params: ModelParams):
+    """(a_l, bra, B_l) of each Legendre term a_l P_l(z) of the moment's polynomial.
 
-    The Legendre term a_l P_l(z) of the moment's polynomial contributes
-    a_l (D_l e_0)^H exp(B_l t) e_0, where e_0 = |l, 0> and
-    D_l = exp(-i phi J_z) exp(-i theta J_y) turns it to the initial Bloch
-    angles.  The blocks take phi as the azimuth of x + iy = 2 a* b, the
-    mirror image in y of ``model._bloch``, hence the minus sign below.
+    The term contributes a_l bra @ exp(B_l t)[:, l], where e_l = |l, 0> is
+    column l and bra = (D_l e_l)^H with D_l = exp(-i phi J_z) exp(-i theta J_y)
+    turning |l, 0> to the initial Bloch angles.  The blocks take phi as the
+    azimuth of x + iy = 2 a* b, the mirror image in y of ``model._bloch``,
+    hence the minus sign below.
     """
-    _check_time(t)
-    _check_order(spec.n_pairs, MAX_MOMENT_ORDER)
     x, y, z = _bloch(spec.initial_state)
-    if t == 0.0:
-        return _as_probability(((1.0 + z) / 2.0) ** spec.n_left * ((1.0 - z) / 2.0) ** spec.n_right)
     theta, phi = math.atan2(math.hypot(x, y), z), -math.atan2(y, x)
     poly = polynomial.polymul(
         polynomial.polypow([0.5, 0.5], spec.n_left), polynomial.polypow([0.5, -0.5], spec.n_right)
     )
-    value = 0j
     for ell, coeff in enumerate(legendre.poly2leg(poly)):
         up = _raising(ell)
         turned = scipy.linalg.expm(0.5 * theta * (up.T - up))[:, ell]
         turned = turned * np.exp(-1j * phi * np.arange(-ell, ell + 1))
-        value += coeff * (turned.conj() @ scipy.linalg.expm(_block(ell, params) * t)[:, ell])
+        yield coeff, turned.conj(), _block(ell, params)
+
+
+def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float:
+    """<P_L^n_left P_R^n_right> at time t, exact to solver tolerance: a sum over l-blocks."""
+    _check_time(t)
+    _check_order(spec.n_pairs, MAX_MOMENT_ORDER)
+    if t == 0.0:
+        z = _bloch(spec.initial_state)[2]
+        return _as_probability(((1.0 + z) / 2.0) ** spec.n_left * ((1.0 - z) / 2.0) ** spec.n_right)
+    value = 0j
+    for ell, (coeff, bra, block) in enumerate(_legendre_terms(spec, params)):
+        value += coeff * (bra @ scipy.linalg.expm(block * t)[:, ell])
     return _as_probability(value)
 
 
@@ -308,24 +313,23 @@ def _zero_cutoff(params: ModelParams) -> float:
     return ZERO_EIG_REL_CUTOFF * max(params.gamma, params.delta)
 
 
-def moment_decay_rates(
-    spec: MomentSpec, params: ModelParams, rel_weight_tol: float = 1e-9
-) -> np.ndarray:
+def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
     """Decay rates actually present in the moment curve, slowest first.
 
-    Expands the contraction sel @ exp(G t) @ v0 over eigenmodes and keeps the
-    rates (-Re mu) of modes whose weight is non-negligible, dropping the
-    stationary mode.  This isolates the relaxation times of one specific
-    moment from the full generator spectrum.
+    Expands each term a_l bra @ exp(B_l t) e_l of :func:`finite_time_moment`
+    over the eigenmodes of B_l and keeps the rates (-Re mu) of modes whose
+    weight is non-negligible, dropping the stationary mode.  Each block
+    contributes each of its rates once, so rates that the 4^n generator
+    repeats across copies of the same l appear once here.
     """
-    gen = build_generator(spec.n_pairs, params)
-    v0, sel = _spec_vectors(spec)
-    eigvals, eigvecs = np.linalg.eig(gen.matrix())
-    weights = (sel @ eigvecs) * np.linalg.solve(eigvecs, v0.astype(complex))
-    scale = np.abs(weights).sum()
-    active = (np.abs(weights) > rel_weight_tol * scale) & (
-        np.abs(eigvals) >= _zero_cutoff(params)
-    )
+    _check_order(spec.n_pairs, MAX_MOMENT_ORDER)
+    eigvals, weights = [], []
+    for ell, (coeff, bra, block) in enumerate(_legendre_terms(spec, params)):
+        mu, modes = np.linalg.eig(block)
+        eigvals.append(mu)
+        weights.append(coeff * (bra @ modes) * np.linalg.solve(modes, np.eye(len(mu))[:, ell]))
+    eigvals, weights = np.concatenate(eigvals), np.abs(np.concatenate(weights))
+    active = (weights > _REL_WEIGHT_TOL * weights.sum()) & (np.abs(eigvals) >= _zero_cutoff(params))
     return np.sort(-eigvals[active].real)
 
 

@@ -242,7 +242,8 @@ class _StateBlock:
     ``r`` is one (3, members * n) array.  The members of a pair sit side by
     side: column ``k * n + i`` is trajectory i of member k, and every member
     of trajectory i consumes trajectory i's noise.  The pulse acts on the
-    last member (run B of a pair).
+    last member (run B of a pair) at step boundary ``pulse_boundary``, which
+    ``_pulse_boundary`` resolves.
     """
 
     def __init__(
@@ -251,12 +252,12 @@ class _StateBlock:
         initials: Sequence[SpinState],
         record_steps: np.ndarray,
         pulse: Optional[PulseSpec] = None,
-        cfg: Optional[SimConfig] = None,
+        pulse_boundary: int = -1,
     ):
         self.n = n
         self.r = np.repeat(np.stack([_bloch(s) for s in initials], axis=1), n, axis=1)
         self.record_steps = record_steps
-        self.pulse_boundary = _pulse_boundary(pulse, cfg)
+        self.pulse_boundary = pulse_boundary
         # rotation of (x, y) by 2 phi.  fmod is exact: phi = +-pi gives an
         # angle of exactly 0, and |phi| < pi is left unchanged.
         angle = 2.0 * math.fmod(pulse.delta_phi, math.pi) if pulse else 0.0
@@ -299,6 +300,7 @@ class _StateBlock:
 
 
 def _pulse_boundary(pulse: Optional[PulseSpec], cfg: SimConfig) -> int:
+    """The step boundary nearest pulse.t0, or -1 without a pulse; rejects t0 past t_final."""
     if pulse is None:
         return -1
     if pulse.t0 > cfg.t_final * (1 + 1e-12):
@@ -446,7 +448,7 @@ def run_trajectory(
     pulse: Optional[PulseSpec] = None,
 ) -> TrajectoryResult:
     """Evolve one noise realization, recording P_left on the grid."""
-    block = _StateBlock(1, [initial], cfg.record_steps(), pulse=pulse, cfg=cfg)
+    block = _StateBlock(1, [initial], cfg.record_steps(), pulse, _pulse_boundary(pulse, cfg))
     _advance(cfg.params, cfg.dt, cfg.n_steps, [stream], block)
     drift = _check_drift(block.drift, cfg.n_steps)
     return TrajectoryResult(
@@ -479,33 +481,26 @@ def _block_ranges(n_trajectories: int) -> list[tuple[int, int]]:
     ]
 
 
-def _ensemble_block(args) -> dict:
-    cfg, lo, hi, initial_amps, pulse = args
+def _block_task(args) -> tuple[dict, np.ndarray, float]:
+    """Trajectories lo..hi-1 of every member against their shared noise streams.
+
+    Returns the sums over the block's columns of each recorded power, the
+    final P_left as a (members, hi - lo) array, and the block's norm drift.
+    """
+    cfg, lo, hi, initials, record_steps, pulse, pulse_boundary = args
     streams = [NoiseStream(cfg.seed, i) for i in range(lo, hi)]
-    block = _StateBlock(hi - lo, [SpinState(*initial_amps)], cfg.record_steps(), pulse, cfg)
+    block = _StateBlock(hi - lo, initials, record_steps, pulse, pulse_boundary)
     _advance(cfg.params, cfg.dt, cfg.n_steps, streams, block)
     p, coh = block.p_rec, block.coh_rec
-    return {
-        "sum_p": p.sum(axis=0),
-        "sum_p_sq": (p**2).sum(axis=0),
-        "sum_p_4": (p**4).sum(axis=0),
-        "sum_coh": coh.sum(axis=0),
-        "sum_coh_re_sq": (coh.real**2).sum(axis=0),
-        "sum_coh_im_sq": (coh.imag**2).sum(axis=0),
-        "final_p": block.p_left(),
-        "drift_max": block.drift,
+    sums = {
+        "p": p.sum(axis=0),
+        "p_sq": (p**2).sum(axis=0),
+        "p_4": (p**4).sum(axis=0),
+        "coh": coh.sum(axis=0),
+        "coh_re_sq": (coh.real**2).sum(axis=0),
+        "coh_im_sq": (coh.imag**2).sum(axis=0),
     }
-
-
-def _paired_block(args) -> dict:
-    cfg, lo, hi, amps_a, amps_b, pulse_b = args
-    n = hi - lo
-    streams = [NoiseStream(cfg.seed, i) for i in range(lo, hi)]
-    initials = [SpinState(*amps_a), SpinState(*amps_b)]
-    block = _StateBlock(n, initials, np.empty(0, dtype=int), pulse_b, cfg)
-    _advance(cfg.params, cfg.dt, cfg.n_steps, streams, block)
-    final = block.p_left()
-    return {"final_a": final[:n], "final_b": final[n:], "drift_max": block.drift}
+    return sums, block.p_left().reshape(len(initials), hi - lo), block.drift
 
 
 def _map_blocks(worker, tasks, workers: int) -> list:
@@ -513,6 +508,34 @@ def _map_blocks(worker, tasks, workers: int) -> list:
         return [worker(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
+
+
+def _run_blocks(
+    cfg: SimConfig,
+    initials: Sequence[SpinState],
+    record_steps: np.ndarray,
+    pulse: Optional[PulseSpec],
+    workers: Optional[int],
+) -> tuple[dict, np.ndarray, float]:
+    """Run every block of cfg.n_trajectories and merge the blocks in block order.
+
+    The pulse boundary is resolved before any block runs.  Returns the record
+    sums, the finals as a (members, n_trajectories) array and the checked
+    norm drift; the merge order makes them bit-identical for any worker count.
+    """
+    boundary = _pulse_boundary(pulse, cfg)
+    tasks = [
+        (cfg, lo, hi, initials, record_steps, pulse, boundary)
+        for lo, hi in _block_ranges(cfg.n_trajectories)
+    ]
+    results = _map_blocks(_block_task, tasks, resolve_workers(workers))
+    sums = {key: np.zeros_like(value) for key, value in results[0][0].items()}
+    for block_sums, _, _ in results:
+        for key, value in block_sums.items():
+            sums[key] += value
+    finals = np.concatenate([block_finals for _, block_finals, _ in results], axis=1)
+    drift = _check_drift(max(block_drift for _, _, block_drift in results), cfg.n_steps)
+    return sums, finals, drift
 
 
 def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -536,35 +559,11 @@ def run_ensemble(
     worker count.
     """
     n = cfg.n_trajectories
-    amps = (complex(initial.amp_left), complex(initial.amp_right))
-    tasks = [(cfg, lo, hi, amps, pulse) for lo, hi in _block_ranges(n)]
-    results = _map_blocks(_ensemble_block, tasks, resolve_workers(workers))
-
-    n_rec = len(cfg.record_steps())
-    sum_p = np.zeros(n_rec)
-    sum_p_sq = np.zeros(n_rec)
-    sum_p_4 = np.zeros(n_rec)
-    sum_coh = np.zeros(n_rec, dtype=complex)
-    sum_coh_re_sq = np.zeros(n_rec)
-    sum_coh_im_sq = np.zeros(n_rec)
-    finals = []
-    drift_max = 0.0
-    for res in results:
-        sum_p += res["sum_p"]
-        sum_p_sq += res["sum_p_sq"]
-        sum_p_4 += res["sum_p_4"]
-        sum_coh += res["sum_coh"]
-        sum_coh_re_sq += res["sum_coh_re_sq"]
-        sum_coh_im_sq += res["sum_coh_im_sq"]
-        finals.append(res["final_p"])
-        drift_max = max(drift_max, res["drift_max"])
-    _check_drift(drift_max, cfg.n_steps)
-
-    mean_p, se_p = _mean_se(sum_p, sum_p_sq, n)
-    mean_p_sq, se_p_sq = _mean_se(sum_p_sq, sum_p_4, n)
-    mean_coh = sum_coh / n
-    _, se_re = _mean_se(sum_coh.real, sum_coh_re_sq, n)
-    _, se_im = _mean_se(sum_coh.imag, sum_coh_im_sq, n)
+    sums, finals, drift = _run_blocks(cfg, [initial], cfg.record_steps(), pulse, workers)
+    mean_p, se_p = _mean_se(sums["p"], sums["p_sq"], n)
+    mean_p_sq, se_p_sq = _mean_se(sums["p_sq"], sums["p_4"], n)
+    _, se_re = _mean_se(sums["coh"].real, sums["coh_re_sq"], n)
+    _, se_im = _mean_se(sums["coh"].imag, sums["coh_im_sq"], n)
 
     return EnsembleResult(
         params=cfg.params,
@@ -572,18 +571,18 @@ def run_ensemble(
         t_final=cfg.t_final,
         seed=cfg.seed,
         n_trajectories=n,
-        initial=amps,
+        initial=(complex(initial.amp_left), complex(initial.amp_right)),
         pulse=pulse,
         times=cfg.record_times(),
         mean_p_left=mean_p,
         se_p_left=se_p,
         mean_p_left_sq=mean_p_sq,
         se_p_left_sq=se_p_sq,
-        mean_offdiag=mean_coh,
+        mean_offdiag=sums["coh"] / n,
         se_offdiag_re=se_re,
         se_offdiag_im=se_im,
-        final_p_left=np.concatenate(finals) if finals else np.empty(0),
-        max_norm_drift=drift_max,
+        final_p_left=finals[0],
+        max_norm_drift=drift,
         n_steps=cfg.n_steps,
     )
 
@@ -602,16 +601,9 @@ def run_paired_ensemble(
     shared field fluctuations.
     """
     n = cfg.n_trajectories
-    amps_a = (complex(initial_a.amp_left), complex(initial_a.amp_right))
-    amps_b = (complex(initial_b.amp_left), complex(initial_b.amp_right))
-    tasks = [(cfg, lo, hi, amps_a, amps_b, pulse_on_b) for lo, hi in _block_ranges(n)]
-    results = _map_blocks(_paired_block, tasks, resolve_workers(workers))
-
-    final_a = np.concatenate([res["final_a"] for res in results])
-    final_b = np.concatenate([res["final_b"] for res in results])
-    drift_max = max(res["drift_max"] for res in results)
-    _check_drift(drift_max, cfg.n_steps)
-
+    _, (final_a, final_b), drift = _run_blocks(
+        cfg, [initial_a, initial_b], np.empty(0, dtype=int), pulse_on_b, workers
+    )
     diff = final_a - final_b
     sq = diff**2
     mean_sq = float(sq.mean())
@@ -622,13 +614,13 @@ def run_paired_ensemble(
         t_final=cfg.t_final,
         seed=cfg.seed,
         n_trajectories=n,
-        initial_a=amps_a,
-        initial_b=amps_b,
+        initial_a=(complex(initial_a.amp_left), complex(initial_a.amp_right)),
+        initial_b=(complex(initial_b.amp_left), complex(initial_b.amp_right)),
         pulse_on_b=pulse_on_b,
         final_p_a=final_a,
         final_p_b=final_b,
         diff_final=diff,
         mean_sq_diff=mean_sq,
         se_sq_diff=se_sq,
-        max_norm_drift=drift_max,
+        max_norm_drift=drift,
     )

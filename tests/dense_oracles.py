@@ -1,7 +1,8 @@
-"""Stationary MomentSpec moments from the dense 4^n generator, as test oracles.
+"""MomentSpec moments from the dense 4^n generator, as test oracles.
 
-Both contract the stationary projector of the full generator with the spec's
-initial vector and selector, independently of the SO(3) blocks that
+``_spec_vectors`` gives a spec's initial vector and selector on the 4^n
+path-pair space.  Both stationary oracles contract the stationary projector of
+the full generator with them, independently of the SO(3) blocks that
 production code uses:
 
   * ``eig_moment``: the spectral projector onto the zero eigenspace, from a
@@ -12,8 +13,22 @@ production code uses:
 
 import numpy as np
 
-from replica_lab.model import ModelParams
-from replica_lab.replica import MomentSpec, _spec_vectors, _zero_cutoff, build_generator
+from replica_lab.model import ModelParams, WellLabel
+from replica_lab.replica import (
+    MomentSpec,
+    _kron_chain,
+    _selector,
+    _zero_cutoff,
+    build_generator,
+    pair_initial_vector,
+)
+
+
+def _spec_vectors(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray]:
+    init = pair_initial_vector(spec.initial_state)
+    v0 = _kron_chain([init] * spec.n_pairs)
+    sels = [_selector(WellLabel.LEFT)] * spec.n_left + [_selector(WellLabel.RIGHT)] * spec.n_right
+    return v0, _kron_chain(sels)
 
 
 def _dense(spec: MomentSpec, params: ModelParams):

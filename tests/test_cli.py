@@ -55,6 +55,17 @@ class TestDecay:
         table = np.genfromtxt(out / "decay.csv", delimiter=",", skip_header=1)
         assert np.all(np.isfinite(table))
 
+    def test_grid_finer_than_dt_writes_each_time_once(self, tmp_path):
+        # 201 grid points over 100 steps snap onto 101 step boundaries
+        out = tmp_path / "run"
+        code = run_cli(
+            "decay", "--t-final", "1", "--trajectories", "200", "--out-dir", str(out),
+        )
+        assert code == 0
+        times = np.genfromtxt(out / "decay.csv", delimiter=",", skip_header=1)[:, 0]
+        assert len(times) == 101
+        assert np.all(np.diff(times) > 0)
+
 
 class TestMoments:
     def test_default_table(self, tmp_path):
@@ -234,11 +245,13 @@ class TestConfigHandling:
             ["dist", "--trajectories", "80"],
             ["sense", "--trajectories", "1"],
             ["pulse", "--trajectories", "1"],
+            ["decay", "--trajectories", "1"],
         ],
         ids=[
             "max-order-high", "max-order-low", "seed", "trajectories", "bins",
             "dist-max-order", "state", "t0", "moments-gamma-0", "moments-delta-0",
             "t0-past-horizon", "dist-40", "dist-80", "sense-1", "pulse-1",
+            "decay-1",
         ],
     )
     def test_invalid_input_creates_no_directory(self, tmp_path, argv):

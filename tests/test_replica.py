@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from dense_oracles import eig_moment, resolvent_moment
+from dense_oracles import _spec_vectors, eig_moment, resolvent_moment
 
 from replica_lab.model import (
     MAX_MOMENT_ORDER,
@@ -16,13 +16,13 @@ from replica_lab.model import (
     laplace_p_ll_sq,
     relaxation_times,
 )
+from replica_lab import replica
 from replica_lab.replica import (
     PAIR_XI,
     MomentSpec,
     NoStationaryLimitError,
     _block,
     _kron_chain,
-    _spec_vectors,
     build_generator,
     evolve,
     finite_time_moment,
@@ -526,6 +526,42 @@ class TestMomentDecayRates:
         assert len(rates) == 2
         assert rates[0] == pytest.approx(delta**2 / gamma, rel=0.02)
         assert rates[1] == pytest.approx(gamma, rel=0.02)
+
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_rates_lie_in_dense_spectrum(self, gamma):
+        params = ModelParams(delta=1.0, gamma=gamma)
+        state = _random_state(np.random.default_rng(29))
+        for order in range(1, 4):
+            dense = -spectrum(build_generator(order, params)).real
+            for n_left in range(order + 1):
+                for initial in (LEFT, state):
+                    rates = moment_decay_rates(MomentSpec(initial, n_left, order - n_left), params)
+                    assert len(rates) > 0 and np.all(rates > 0)
+                    assert all(np.min(np.abs(dense - r)) < 1e-6 for r in rates)
+
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_single_replica_closed_form(self, gamma):
+        # <P_L> relaxes with exponents (gamma -/+ sqrt(gamma^2 - 4 delta^2)) / 2
+        delta = 1.0
+        root = complex(gamma**2 - 4.0 * delta**2) ** 0.5
+        closed = np.array([((gamma - root) / 2).real, ((gamma + root) / 2).real])
+        rates = moment_decay_rates(MomentSpec(LEFT, 1, 0), ModelParams(delta=delta, gamma=gamma))
+        assert len(rates) == 2
+        assert np.allclose(rates, closed, rtol=0, atol=1e-6)
+
+    def test_critical_point_rates_not_duplicated(self):
+        # the 4^n generator repeats each block's rates once per copy of l;
+        # the blocks give each rate once
+        rates = moment_decay_rates(MomentSpec(LEFT, 1, 1), ModelParams(delta=1.0, gamma=2.0))
+        assert len(rates) == 3
+
+    def test_builds_no_dense_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("moment_decay_rates built the 4^n generator")
+
+        monkeypatch.setattr(replica, "build_generator", refuse)
+        rates = moment_decay_rates(MomentSpec(LEFT, 2, 1), ModelParams(delta=1.0, gamma=2.0))
+        assert np.all(rates > 0)
 
 
 class TestPermutationSymmetry:

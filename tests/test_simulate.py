@@ -450,6 +450,23 @@ class TestBlochKernel:
         assert abs(coherence - exact[-1]) < 1e-10
 
 
+class TestPulseValidation:
+    @pytest.mark.parametrize("paired", [False, True], ids=["ensemble", "paired"])
+    def test_t0_past_horizon_rejected_before_any_block(self, monkeypatch, paired):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block task ran before the pulse was checked")
+
+        monkeypatch.setattr(sim, "_map_blocks", refuse)
+        params = ModelParams(delta=1.0, gamma=1.0)
+        cfg = SimConfig(params=params, dt=0.01, t_final=1.0, seed=5, n_trajectories=2500)
+        pulse = PulseSpec(0.3, 2.0)
+        with pytest.raises(ValueError, match="outside"):
+            if paired:
+                run_paired_ensemble(cfg, LEFT, LEFT, pulse_on_b=pulse, workers=2)
+            else:
+                run_ensemble(cfg, LEFT, pulse=pulse, workers=2)
+
+
 class TestRunPairedEnsemble:
     def test_identical_members_give_exact_zero(self):
         params = ModelParams(delta=1.0, gamma=1.0)

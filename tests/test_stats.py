@@ -12,7 +12,6 @@ from replica_lab.stats import (
     ks_uniform,
     moments,
 )
-from replica_lab.stats import _kolmogorov_sf
 
 
 def uniform_samples(n: int, seed: int = 0) -> SampleSet:
@@ -139,19 +138,6 @@ class TestKsUniform:
         assert stat == pytest.approx(float(scipy_stat), abs=1e-12)
         asymptotic = float(scipy.special.kolmogorov(math.sqrt(samples.size) * stat))
         assert p_value == pytest.approx(asymptotic, abs=1e-9)
-
-    def test_survival_function_monotone(self):
-        ys = np.linspace(0.01, 3.0, 300)
-        values = [_kolmogorov_sf(float(y)) for y in ys]
-        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-        assert values[0] > 0.999999
-        assert values[-1] < 1e-6
-
-    def test_survival_function_vs_scipy(self):
-        for y in np.linspace(0.05, 3.0, 60):
-            mine = _kolmogorov_sf(float(y))
-            ref = float(scipy.special.kolmogorov(float(y)))
-            assert mine == pytest.approx(ref, abs=1e-10)
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
