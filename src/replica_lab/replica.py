@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial import legendre, polynomial
 
 from .model import MAX_MOMENT_ORDER, ModelParams, SpinState, WellLabel, _bloch, _check_time
@@ -61,7 +60,7 @@ N_MAX = 6
 # stationary (zero) eigenspace of the decay rates.
 ZERO_EIG_REL_CUTOFF = 1e-10
 
-# Modes whose weight is below this share of the total weight are absent from a
+# Modes whose weight is below this share of sum_l |a_l| are absent from a
 # moment's decay rates.
 _REL_WEIGHT_TOL = 1e-9
 
@@ -141,6 +140,14 @@ def build_generator(n: int, params: ModelParams) -> ReplicaGenerator:
     return ReplicaGenerator(n_pairs=n, params=params, dephasing_diag=dephasing, jump=jump)
 
 
+def _expm(mat: np.ndarray) -> np.ndarray:
+    """Matrix exponential.  ``scipy.linalg`` loads here, on first use, so that
+    the simulator and the statistics never pay for its import."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(mat)
+
+
 def evolve(gen: ReplicaGenerator, v0: np.ndarray, t: float) -> np.ndarray:
     """Propagate a coefficient vector: exp(G t) @ v0."""
     v0 = np.asarray(v0, dtype=complex)
@@ -149,7 +156,7 @@ def evolve(gen: ReplicaGenerator, v0: np.ndarray, t: float) -> np.ndarray:
     _check_time(t)
     if t == 0.0:
         return v0.copy()
-    return scipy.linalg.expm(gen.matrix() * t) @ v0
+    return _expm(gen.matrix() * t) @ v0
 
 
 @dataclass(frozen=True)
@@ -225,7 +232,7 @@ def _legendre_terms(spec: MomentSpec, params: ModelParams):
     )
     for ell, coeff in enumerate(legendre.poly2leg(poly)):
         up = _raising(ell)
-        turned = scipy.linalg.expm(0.5 * theta * (up.T - up))[:, ell]
+        turned = _expm(0.5 * theta * (up.T - up))[:, ell]
         turned = turned * np.exp(-1j * phi * np.arange(-ell, ell + 1))
         yield coeff, turned.conj(), _block(ell, params)
 
@@ -239,7 +246,7 @@ def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float
         return _as_probability(((1.0 + z) / 2.0) ** spec.n_left * ((1.0 - z) / 2.0) ** spec.n_right)
     value = 0j
     for ell, (coeff, bra, block) in enumerate(_legendre_terms(spec, params)):
-        value += coeff * (bra @ scipy.linalg.expm(block * t)[:, ell])
+        value += coeff * (bra @ _expm(block * t)[:, ell])
     return _as_probability(value)
 
 
@@ -290,13 +297,15 @@ def mixed_initial_moment(
     Generalizes MomentSpec to correlators that pair different initial states
     against the same noise, e.g. the cross term of an initial-state
     sensitivity experiment.  t=None takes the stationary limit as a Haar
-    average; a finite t evolves the dense 4^n generator.
+    average, exact up to ``MAX_MOMENT_ORDER`` replicas; a finite t evolves the
+    dense 4^n generator, up to ``N_MAX`` replicas.
     """
     n = len(replicas)
-    _check_order(n, N_MAX)
     if t is None:
+        _check_order(n, MAX_MOMENT_ORDER)
         _require_stationary(params)
         return _as_probability(_haar_average(replicas))
+    _check_order(n, N_MAX)
     v0 = _kron_chain([pair_initial_vector(state) for state, _ in replicas])
     sel = _kron_chain([_selector(well) for _, well in replicas])
     return _as_probability(sel @ evolve(build_generator(n, params), v0, t))
@@ -321,15 +330,22 @@ def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
     weight is non-negligible, dropping the stationary mode.  Each block
     contributes each of its rates once, so rates that the 4^n generator
     repeats across copies of the same l appear once here.
+
+    A weight counts as negligible against sum_l |a_l|, which bounds every
+    term at every t >= 0 (the bra is a unit vector and exp(B_l t) a
+    contraction).  The summed mode weights are no such scale: near
+    gamma = 2 delta, where B_1 is defective, two nearly equal modes carry
+    large weights that cancel.
     """
     _check_order(spec.n_pairs, MAX_MOMENT_ORDER)
-    eigvals, weights = [], []
+    eigvals, weights, scale = [], [], 0.0
     for ell, (coeff, bra, block) in enumerate(_legendre_terms(spec, params)):
         mu, modes = np.linalg.eig(block)
         eigvals.append(mu)
         weights.append(coeff * (bra @ modes) * np.linalg.solve(modes, np.eye(len(mu))[:, ell]))
+        scale += abs(coeff)
     eigvals, weights = np.concatenate(eigvals), np.abs(np.concatenate(weights))
-    active = (weights > _REL_WEIGHT_TOL * weights.sum()) & (np.abs(eigvals) >= _zero_cutoff(params))
+    active = (weights > _REL_WEIGHT_TOL * scale) & (np.abs(eigvals) >= _zero_cutoff(params))
     return np.sort(-eigvals[active].real)
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 
 import replica_lab
 from replica_lab.cli import _build_parser, main
+from replica_lab.model import ModelParams, SpinState, WellLabel
+from replica_lab.replica import MomentSpec, finite_time_moment
 
 
 def run_cli(*args) -> int:
@@ -339,13 +342,50 @@ class TestReproducibility:
 
 
 class TestImports:
-    def test_cli_import_leaves_scipy_special_out(self):
-        # scipy.special adds about 2 MiB of peak RSS to every process
+    @staticmethod
+    def _fresh_python(code: str) -> str:
         src = str(Path(replica_lab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, replica_lab.cli; print('scipy.special' in sys.modules)"
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        return result.stdout.strip()
+
+    def test_cli_import_leaves_scipy_special_out(self):
+        # scipy.special adds about 25 MB of peak RSS and 0.2 s to a process
+        # that has only numpy
+        code = "import sys, replica_lab.cli; print('scipy.special' in sys.modules)"
+        assert self._fresh_python(code) == "False"
+
+    def test_simulator_and_stats_leave_scipy_out(self):
+        # only the replica engine's matrix exponential loads scipy.linalg
+        code = textwrap.dedent("""
+            import json, sys
+            import replica_lab.cli
+            from replica_lab.model import ModelParams, SpinState, WellLabel
+            from replica_lab.replica import MomentSpec, finite_time_moment
+            from replica_lab.simulate import SimConfig, run_ensemble, run_paired_ensemble
+            from replica_lab.stats import SampleSet, cross_moment, histogram, ks_uniform, moments
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+            params = ModelParams(delta=1.0, gamma=1.0)
+            cfg = SimConfig(params, dt=0.01, t_final=0.5, seed=3, n_trajectories=200)
+            left, right = SpinState.localized(WellLabel.LEFT), SpinState.localized(WellLabel.RIGHT)
+            samples = SampleSet(run_ensemble(cfg, left, workers=1).final_p_left)
+            run_paired_ensemble(cfg, left, right, workers=1)
+            moments(samples, 3)
+            cross_moment(samples, 1, 1)
+            histogram(samples)
+            ks_uniform(samples)
+            before = scipy_modules()
+            value = finite_time_moment(MomentSpec(left, 2, 1), params, 0.7)
+            print(json.dumps({"before": before, "value": value, "linalg": "scipy.linalg" in sys.modules}))
+        """)
+        report = json.loads(self._fresh_python(code))
+        assert report["before"] == []
+        spec = MomentSpec(SpinState.localized(WellLabel.LEFT), 2, 1)
+        assert report["value"] == finite_time_moment(spec, ModelParams(delta=1.0, gamma=1.0), 0.7)
+        assert report["linalg"] is True

@@ -18,6 +18,7 @@ from replica_lab.model import (
 )
 from replica_lab import replica
 from replica_lab.replica import (
+    N_MAX,
     PAIR_XI,
     MomentSpec,
     NoStationaryLimitError,
@@ -401,7 +402,7 @@ class TestMixedInitialMoment:
         params = ModelParams(delta=1.0, gamma=gamma)
         rng = np.random.default_rng(29)
         wells = (WellLabel.LEFT, WellLabel.RIGHT)
-        for order in range(2, 7):
+        for order in range(2, 9):
             for _ in range(3):
                 replicas = [(_random_state(rng), wells[rng.integers(2)]) for _ in range(order)]
                 value = mixed_initial_moment(replicas, params)
@@ -470,6 +471,17 @@ class TestMixedInitialMoment:
         with pytest.raises(NoStationaryLimitError):
             mixed_initial_moment([(LEFT, WellLabel.LEFT)], ModelParams(delta=1.0, gamma=0.0))
 
+    def test_order_caps(self):
+        # the Haar quadrature is exact at any degree; the dense 4^n path stops at N_MAX
+        params = ModelParams(delta=1.0, gamma=1.0)
+        left = [(LEFT, WellLabel.LEFT)]
+        value = mixed_initial_moment(left * MAX_MOMENT_ORDER, params)
+        assert value == pytest.approx(1.0 / (MAX_MOMENT_ORDER + 1), abs=1e-12)
+        with pytest.raises(ValueError):
+            mixed_initial_moment(left * (MAX_MOMENT_ORDER + 1), params)
+        with pytest.raises(ValueError):
+            mixed_initial_moment(left * (N_MAX + 1), params, t=1.0)
+
 
 class TestSpectrum:
     def test_pure_tunneling_eigenvalues(self):
@@ -537,7 +549,23 @@ class TestMomentDecayRates:
                 for initial in (LEFT, state):
                     rates = moment_decay_rates(MomentSpec(initial, n_left, order - n_left), params)
                     assert len(rates) > 0 and np.all(rates > 0)
-                    assert all(np.min(np.abs(dense - r)) < 1e-6 for r in rates)
+                    assert all(np.min(np.abs(dense - r)) < 1e-7 for r in rates)
+
+    @pytest.mark.parametrize(
+        "gamma,counts",
+        [(0.05, (5, 9, 9)), (1.0, (5, 9, 9)), (2.0, (5, 9, 9)), (2.001, (5, 9, 9)), (20.0, (5, 8, 8))],
+    )
+    def test_rate_counts_from_left(self, gamma, counts):
+        # at gamma = 2 delta the defective l = 1 block's two modes carry large
+        # weights that cancel; they must not hide the other rates
+        params = ModelParams(delta=1.0, gamma=gamma)
+        dense = {n: -spectrum(build_generator(n, params)).real for n in (2, 3)}
+        found = []
+        for n_left, n_right in ((2, 0), (3, 0), (2, 1)):
+            rates = moment_decay_rates(MomentSpec(LEFT, n_left, n_right), params)
+            assert all(np.min(np.abs(dense[n_left + n_right] - r)) < 1e-7 for r in rates)
+            found.append(len(rates))
+        assert tuple(found) == counts
 
     @pytest.mark.parametrize("gamma", RATIOS)
     def test_single_replica_closed_form(self, gamma):

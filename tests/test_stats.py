@@ -12,6 +12,7 @@ from replica_lab.stats import (
     ks_uniform,
     moments,
 )
+from replica_lab.stats import _kolmogorov_sf
 
 
 def uniform_samples(n: int, seed: int = 0) -> SampleSet:
@@ -138,6 +139,21 @@ class TestKsUniform:
         assert stat == pytest.approx(float(scipy_stat), abs=1e-12)
         asymptotic = float(scipy.special.kolmogorov(math.sqrt(samples.size) * stat))
         assert p_value == pytest.approx(asymptotic, abs=1e-9)
+
+    def test_survival_function_monotone(self):
+        ys = np.linspace(0.01, 3.0, 300)
+        values = [_kolmogorov_sf(float(y)) for y in ys]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert values[0] > 0.999999
+        assert values[-1] < 1e-6
+
+    def test_survival_function_vs_scipy(self):
+        # both series, and both sides of their switch at y = 1.1
+        ys = np.concatenate([np.linspace(0.01, 3.5, 350), [1.1 - 1e-12, 1.1, 1.1 + 1e-12]])
+        for y in ys:
+            mine = _kolmogorov_sf(float(y))
+            ref = float(scipy.special.kolmogorov(float(y)))
+            assert mine == pytest.approx(ref, rel=0, abs=1e-13)
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
