@@ -14,12 +14,13 @@ Commands
 Each configuration key is one entry of ``_KEYS``: its parser, its default,
 its help text and the subcommands that take it as a flag.  A flag overrides
 the same-named key of a ``--config`` file (flat ``key = value`` lines whose
-keys are exactly the flag names), which overrides the default.  Every input
-is checked before the output directory is created, and a non-empty output
-directory is never overwritten.  Every run writes a manifest.json with the
-resolved configuration and sha256 digests of all emitted files; data files
-carry no timestamps, so re-running a manifest's configuration reproduces them
-byte for byte.
+keys are exactly the flag names), which overrides the default.  Each command
+checks its inputs before its first ensemble, and the output directory is
+created only after the command has run, so a rejected input leaves nothing
+behind; an output path other than an empty directory is never overwritten.
+Every run writes a manifest.json with the resolved configuration and sha256
+digests of all emitted files; data files carry no timestamps, so re-running
+a manifest's configuration reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -52,12 +53,11 @@ from .model import (
 )
 from .replica import (
     MomentSpec,
-    _require_stationary,
     finite_time_moment,
     infinite_time_moment,
     permutation_symmetry_defect,
 )
-from .simulate import PulseSpec, SimConfig, _pulse_boundary, run_ensemble, run_paired_ensemble
+from .simulate import PulseSpec, SimConfig, run_ensemble, run_paired_ensemble
 from .stats import MIN_MOMENT_SAMPLES, SampleSet, cross_moment, histogram, ks_uniform, moments
 
 _DECAY_GRID_POINTS = 201
@@ -134,37 +134,6 @@ def _attr(key: str) -> str:
     return key.replace("-", "_")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved configuration of one CLI invocation: one field per ``_KEYS`` entry."""
-
-    experiment: str
-    gamma: float
-    delta: float
-    dt: float
-    t_final: float
-    trajectories: int
-    seed: int
-    out_dir: str
-    bins: int
-    max_order: int
-    phi: float
-    t0: float
-    state_a: tuple[float, float, float, float]
-    state_b: tuple[float, float, float, float]
-
-    @property
-    def params(self) -> ModelParams:
-        return ModelParams(delta=self.delta, gamma=self.gamma)
-
-    def to_dict(self) -> dict:
-        entries: dict = {"experiment": self.experiment}
-        for key in _KEYS:
-            value = getattr(self, _attr(key))
-            entries[key] = ",".join(map(_fmt, value)) if isinstance(value, tuple) else value
-        return entries
-
-
 def _write_atomic(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
@@ -175,9 +144,14 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+def _load_config_file(path: str) -> dict[str, object]:
+    """The parsed values of a flat ``key = value`` file, by key."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise CliError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    entries: dict[str, object] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -186,75 +160,37 @@ def _load_config_file(path: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        entries[key] = value
+        try:
+            entries[key] = _KEYS[key].parse(value)
+        except (CliError, ValueError) as exc:
+            raise CliError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return entries
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Each key from its flag, else the config file, else its default; then dt and t-final."""
     file_entries = _load_config_file(args.config) if args.config else {}
-    values = {}
+    cfg = argparse.Namespace(experiment=args.command)
     for key, spec in _KEYS.items():
-        raw = getattr(args, _attr(key), None)  # absent where the subcommand has no such flag
-        if raw is None:
-            raw = file_entries.get(key)
+        flag = getattr(args, _attr(key), None)  # absent where the subcommand has no such flag
         default = _PULSE_STATE_A if (args.command, key) == ("pulse", "state-a") else spec.default
-        values[_attr(key)] = default if raw is None else spec.parse(raw)
+        value = file_entries.get(key, default) if flag is None else spec.parse(flag)
+        setattr(cfg, _attr(key), value)
 
-    gamma, delta = values["gamma"], values["delta"]
-    params = ModelParams(delta=delta, gamma=gamma)
-    if values["dt"] is None:
-        if gamma <= 0 and delta <= 0:
+    cfg.params = ModelParams(delta=cfg.delta, gamma=cfg.gamma)
+    if cfg.dt is None:
+        if cfg.gamma <= 0 and cfg.delta <= 0:
             raise CliError("dt must be given when gamma = delta = 0")
-        values["dt"] = 0.01 * min(1.0 / r for r in (gamma, delta) if r > 0)
-    if values["t_final"] is None:
-        if gamma <= 0 or delta <= 0:
+        cfg.dt = 0.01 * min(1.0 / r for r in (cfg.gamma, cfg.delta) if r > 0)
+    if cfg.t_final is None:
+        if cfg.gamma <= 0 or cfg.delta <= 0:
             raise CliError("t-final must be given when gamma or delta is 0")
-        values["t_final"] = stationary_time(params)
-        if args.command == "pulse":
-            values["t_final"] += values["t0"]
-    if values["out_dir"] is None:
+        cfg.t_final = stationary_time(cfg.params)
+        if cfg.experiment == "pulse":
+            cfg.t_final += cfg.t0
+    if cfg.out_dir is None:
         raise CliError("--out-dir is required (flag or config file)")
-    cfg = ExperimentConfig(experiment=args.command, **values)
-    _check_inputs(cfg)
     return cfg
-
-
-def _check_inputs(cfg: ExperimentConfig) -> None:
-    """Reject invalid inputs before the output directory is created."""
-    if cfg.experiment == "moments":
-        if not 1 <= cfg.max_order <= MAX_MOMENT_ORDER:
-            raise CliError(f"max-order must be in 1..{MAX_MOMENT_ORDER}")
-        _require_stationary(cfg.params)
-        return
-    sim_config = _sim_config(cfg)  # SimConfig checks dt, t-final, trajectories and seed
-    if cfg.experiment == "dist":
-        if cfg.trajectories < MIN_MOMENT_SAMPLES:
-            raise CliError(f"dist needs trajectories >= {MIN_MOMENT_SAMPLES} for its moment reports")
-        if cfg.bins < 2:
-            raise CliError("bins must be >= 2")
-        if _dist_moment_order(cfg) < 1:
-            raise CliError("max-order must be >= -1 (dist reports min(max-order + 2, 6) moments)")
-    if cfg.experiment in ("decay", "sense", "pulse") and cfg.trajectories < 2:
-        raise CliError(f"{cfg.experiment} needs trajectories >= 2 for a standard error")
-    if cfg.experiment in ("sense", "pulse"):
-        _state_from(cfg.state_a)
-    if cfg.experiment == "sense":
-        _state_from(cfg.state_b)
-    if cfg.experiment == "pulse":
-        _pulse_boundary(PulseSpec(delta_phi=cfg.phi, t0=cfg.t0), sim_config)
-
-
-def _dist_moment_order(cfg: ExperimentConfig) -> int:
-    return min(cfg.max_order + 2, 6)
-
-
-def _prepare_out_dir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out_dir)
-    if out.exists() and any(out.iterdir()):
-        raise CliError(f"output directory {out} exists and is not empty; refusing to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _json_bytes(payload: dict) -> bytes:
@@ -270,17 +206,22 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
 
 
 def _finish(
-    out: Path, cfg: ExperimentConfig, started: str, files: dict[str, bytes]
+    out: Path, cfg: argparse.Namespace, started: str, files: dict[str, bytes]
 ) -> None:
+    out.mkdir(parents=True, exist_ok=True)
     digests = {}
     for name, data in files.items():
         path = out / name
         _write_atomic(path, data)
         digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    config = {"experiment": cfg.experiment}
+    for key in _KEYS:
+        value = getattr(cfg, _attr(key))
+        config[key] = ",".join(map(_fmt, value)) if isinstance(value, tuple) else value
     manifest = {
         "tool_version": __version__,
         "command": cfg.experiment,
-        "config": cfg.to_dict(),
+        "config": config,
         "seed": cfg.seed,
         "started_utc": started,
         "finished_utc": _utc_now(),
@@ -289,14 +230,18 @@ def _finish(
     _write_atomic(out / "manifest.json", _json_bytes(manifest))
 
 
-def _sim_config(cfg: ExperimentConfig, record_grid=None) -> SimConfig:
+def _sim_config(cfg: argparse.Namespace, record_grid, min_trajectories: int = 2) -> SimConfig:
+    """The command's ensemble; its statistics need at least min_trajectories samples."""
+    if cfg.trajectories < min_trajectories:
+        raise CliError(f"{cfg.experiment} needs trajectories >= {min_trajectories}, "
+                       f"got {cfg.trajectories}")
     return SimConfig(
         params=cfg.params,
         dt=cfg.dt,
         t_final=cfg.t_final,
         seed=cfg.seed,
         n_trajectories=cfg.trajectories,
-        record_grid=tuple(record_grid) if record_grid is not None else None,
+        record_grid=tuple(record_grid),
     )
 
 
@@ -305,11 +250,11 @@ def _sim_config(cfg: ExperimentConfig, record_grid=None) -> SimConfig:
 _Outcome = tuple[dict[str, bytes], str, Optional[str]]
 
 
-def cmd_decay(cfg: ExperimentConfig) -> _Outcome:
+def cmd_decay(cfg: argparse.Namespace) -> _Outcome:
     params = cfg.params
     left = SpinState.localized(WellLabel.LEFT)
     grid = np.linspace(0.0, cfg.t_final, _DECAY_GRID_POINTS)
-    ensemble = run_ensemble(_sim_config(cfg, record_grid=grid), left)
+    ensemble = run_ensemble(_sim_config(cfg, grid), left)
 
     spec = MomentSpec(left, 1, 0)
     worst = 0.0
@@ -332,7 +277,9 @@ def cmd_decay(cfg: ExperimentConfig) -> _Outcome:
     return {"decay.csv": _csv_bytes(header, rows)}, f"engines agree to {worst:.3e}", failure
 
 
-def cmd_moments(cfg: ExperimentConfig) -> _Outcome:
+def cmd_moments(cfg: argparse.Namespace) -> _Outcome:
+    if not 1 <= cfg.max_order <= MAX_MOMENT_ORDER:
+        raise CliError(f"max-order must be in 1..{MAX_MOMENT_ORDER}")
     params = cfg.params
     initial = SpinState.localized(WellLabel.LEFT)
     orders = [(n, 0) for n in range(1, cfg.max_order + 1)]
@@ -368,8 +315,13 @@ def cmd_moments(cfg: ExperimentConfig) -> _Outcome:
     return {"moments.json": _json_bytes(payload)}, f"max deviation {worst_dev:.3e}", failure
 
 
-def cmd_dist(cfg: ExperimentConfig) -> _Outcome:
-    sim_cfg = _sim_config(cfg, record_grid=(cfg.t_final,))
+def cmd_dist(cfg: argparse.Namespace) -> _Outcome:
+    sim_cfg = _sim_config(cfg, (cfg.t_final,), MIN_MOMENT_SAMPLES)
+    if cfg.bins < 2:
+        raise CliError("bins must be >= 2")
+    moment_order = min(cfg.max_order + 2, 6)
+    if moment_order < 1:
+        raise CliError("max-order must be >= -1 (dist reports min(max-order + 2, 6) moments)")
     ensemble = run_ensemble(sim_cfg, SpinState.localized(WellLabel.LEFT))
     samples = SampleSet(
         ensemble.final_p_left, provenance=f"seed={cfg.seed} dt={_fmt(cfg.dt)}"
@@ -381,7 +333,7 @@ def cmd_dist(cfg: ExperimentConfig) -> _Outcome:
         [_fmt(hist.edges[i]), _fmt(hist.edges[i + 1]), int(hist.counts[i]), _fmt(hist.densities[i])]
         for i in range(cfg.bins)
     ]
-    reports = moments(samples, max_order=_dist_moment_order(cfg))
+    reports = moments(samples, max_order=moment_order)
     crosses = [cross_moment(samples, 1, 1), cross_moment(samples, 2, 1)]
     payload = {
         "n_samples": samples.size,
@@ -399,10 +351,10 @@ def cmd_dist(cfg: ExperimentConfig) -> _Outcome:
     return files, f"KS p={p_value:.4g}", None
 
 
-def cmd_sense(cfg: ExperimentConfig) -> _Outcome:
+def cmd_sense(cfg: argparse.Namespace) -> _Outcome:
     state_a = _state_from(cfg.state_a)
     state_b = _state_from(cfg.state_b)
-    sim_cfg = _sim_config(cfg, record_grid=(cfg.t_final,))
+    sim_cfg = _sim_config(cfg, (cfg.t_final,))
     paired = run_paired_ensemble(sim_cfg, state_a, state_b)
 
     a, b = complex(state_a.amp_left), complex(state_a.amp_right)
@@ -422,10 +374,11 @@ def cmd_sense(cfg: ExperimentConfig) -> _Outcome:
     return {"sense.json": _json_bytes(payload)}, f"z={z:+.2f}", None
 
 
-def cmd_pulse(cfg: ExperimentConfig) -> _Outcome:
+def cmd_pulse(cfg: argparse.Namespace) -> _Outcome:
     initial = _state_from(cfg.state_a)
     pulse = PulseSpec(delta_phi=cfg.phi, t0=cfg.t0)
-    sim_cfg = _sim_config(cfg, record_grid=(cfg.t_final,))
+    sim_cfg = _sim_config(cfg, (cfg.t_final,))
+    # the pulse boundary and the worker count are checked before any block runs
     paired = run_paired_ensemble(sim_cfg, initial, initial, pulse_on_b=pulse)
 
     t0_snapped = round(cfg.t0 / cfg.dt) * cfg.dt
@@ -446,7 +399,7 @@ def cmd_pulse(cfg: ExperimentConfig) -> _Outcome:
     return {"pulse.json": _json_bytes(payload)}, f"z={z:+.2f}", None
 
 
-_COMMANDS: dict[str, tuple[Callable[[ExperimentConfig], _Outcome], str]] = {
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], _Outcome], str]] = {
     "decay": (cmd_decay, "survival-probability decay curves"),
     "moments": (cmd_moments, "stationary replica moments"),
     "dist": (cmd_dist, "stationary distribution evidence"),
@@ -467,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for key, spec in _KEYS.items():
             if spec.commands is None or name in spec.commands:
                 # argparse lets a CliError from _parse_state escape, so states
-                # stay text until _resolve_config, as config-file values do
+                # stay text until _resolve_config parses them
                 kind = str if spec.parse is _parse_state else spec.parse
                 command.add_argument(f"--{key}", type=kind, default=None, help=spec.help)
         command.add_argument("--config", type=str, default=None, help="flat key=value config file")
@@ -479,9 +432,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     command, _ = _COMMANDS[args.command]
     try:
         cfg = _resolve_config(args)
+        out = Path(cfg.out_dir)
+        if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+            raise CliError(f"output path {out} exists and is not an empty directory; "
+                           "refusing to overwrite")
         started = _utc_now()
-        out = _prepare_out_dir(cfg)
-        files, summary, failure = command(cfg)
+        files, summary, failure = command(cfg)  # creates nothing on disk
         _finish(out, cfg, started, files)
     except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,7 +57,8 @@ from .model import MAX_MOMENT_ORDER, ModelParams, SpinState, WellLabel, _bloch, 
 N_MAX = 6
 
 # Eigenvalues with |mu| below this times max(gamma, delta) count as the
-# stationary (zero) eigenspace of the decay rates.
+# stationary (zero) eigenspace; modes whose rate -Re mu does not exceed it do
+# not decay.
 ZERO_EIG_REL_CUTOFF = 1e-10
 
 # Modes whose weight is below this share of sum_l |a_l| are absent from a
@@ -327,9 +328,11 @@ def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
 
     Expands each term a_l bra @ exp(B_l t) e_l of :func:`finite_time_moment`
     over the eigenmodes of B_l and keeps the rates (-Re mu) of modes whose
-    weight is non-negligible, dropping the stationary mode.  Each block
-    contributes each of its rates once, so rates that the 4^n generator
-    repeats across copies of the same l appear once here.
+    weight is non-negligible, dropping modes that do not decay: the
+    stationary mode, and at gamma = 0 the undamped rotations, whose
+    eigenvalues are imaginary up to rounding.  Each block contributes each of
+    its rates once, so rates that the 4^n generator repeats across copies of
+    the same l appear once here.
 
     A weight counts as negligible against sum_l |a_l|, which bounds every
     term at every t >= 0 (the bra is a unit vector and exp(B_l t) a
@@ -345,7 +348,7 @@ def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
         weights.append(coeff * (bra @ modes) * np.linalg.solve(modes, np.eye(len(mu))[:, ell]))
         scale += abs(coeff)
     eigvals, weights = np.concatenate(eigvals), np.abs(np.concatenate(weights))
-    active = (weights > _REL_WEIGHT_TOL * scale) & (np.abs(eigvals) >= _zero_cutoff(params))
+    active = (weights > _REL_WEIGHT_TOL * scale) & (-eigvals.real > _zero_cutoff(params))
     return np.sort(-eigvals[active].real)
 
 

@@ -466,6 +466,11 @@ def resolve_workers(workers: Optional[int] = None) -> int:
         env = os.environ.get("REPLICA_LAB_THREADS", "").strip()
         if not env:
             return 1
+        if not env.isdecimal():
+            raise ValueError(
+                f"REPLICA_LAB_THREADS must be a whole number >= 0 (0 = one worker per CPU), "
+                f"got {env!r}"
+            )
         workers = int(env)
     if workers == 0:
         return os.cpu_count() or 1

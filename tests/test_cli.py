@@ -222,6 +222,50 @@ class TestConfigHandling:
         config.write_text("gamm = 2.0\n")
         assert run_cli("dist", "--config", str(config), "--out-dir", str(tmp_path / "x")) == 2
 
+    # a directory cannot be read as a file, whatever the user's permissions
+    @pytest.mark.parametrize("name", ["absent.cfg", "."], ids=["missing", "unreadable"])
+    def test_config_file_read_error_is_input_error(self, tmp_path, capsys, name):
+        config = tmp_path / name
+        out = tmp_path / "run"
+        assert run_cli("moments", "--config", str(config), "--out-dir", str(out)) == 2
+        assert f"cannot read config file {config}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,lineno,key",
+        [("gamma = abc\n", 1, "gamma"), ("# seeds\nseed = 1.5\n", 2, "seed"),
+         ("state-a = 1,0\n", 1, "state-a"), ("state-b = 1,0,x,0\n", 1, "state-b")],
+        ids=["float", "int", "state-count", "state-part"],
+    )
+    def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys, text, lineno, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        out = tmp_path / "run"
+        assert run_cli("sense", "--config", str(config), "--out-dir", str(out)) == 2
+        assert f"error: {config}:{lineno}: bad value for {key!r}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_dir_that_is_a_file_is_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("keep me\n")
+        assert run_cli("moments", "--out-dir", str(out)) == 2
+        assert "is not an empty directory" in capsys.readouterr().err
+        assert out.read_text() == "keep me\n"
+
+    def test_existing_empty_out_dir_is_used(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert run_cli("moments", "--out-dir", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "moments.json"]
+
+    @pytest.mark.parametrize("value", ["abc", "-2"])
+    def test_bad_worker_variable_creates_no_directory(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("REPLICA_LAB_THREADS", value)
+        out = tmp_path / "run"
+        assert run_cli("dist", "--out-dir", str(out)) == 2
+        assert "REPLICA_LAB_THREADS must be a whole number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_dir_collision_is_error(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("moments", "--out-dir", str(out)) == 0

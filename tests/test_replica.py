@@ -577,6 +577,17 @@ class TestMomentDecayRates:
         assert len(rates) == 2
         assert np.allclose(rates, closed, rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 2.5])
+    def test_no_rates_without_dephasing(self, delta):
+        # at gamma = 0 every block is a rotation: its eigenvalues are imaginary
+        # up to rounding, and nothing decays
+        params = ModelParams(delta=delta, gamma=0.0)
+        state = _random_state(np.random.default_rng(31))
+        for initial in (LEFT, state):
+            for n_left, n_right in ((1, 0), (2, 0), (1, 1), (4, 2)):
+                rates = moment_decay_rates(MomentSpec(initial, n_left, n_right), params)
+                assert rates.shape == (0,), (delta, n_left, n_right, rates)
+
     def test_critical_point_rates_not_duplicated(self):
         # the 4^n generator repeats each block's rates once per copy of l;
         # the blocks give each rate once

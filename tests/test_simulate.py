@@ -265,6 +265,12 @@ class TestRunEnsemble:
         monkeypatch.delenv("REPLICA_LAB_THREADS")
         assert sim.resolve_workers() == 1
 
+    @pytest.mark.parametrize("value", ["abc", "-2", "1.5"])
+    def test_workers_env_rejects_non_counts(self, monkeypatch, value):
+        monkeypatch.setenv("REPLICA_LAB_THREADS", value)
+        with pytest.raises(ValueError, match=r"REPLICA_LAB_THREADS must be a whole number >= 0"):
+            sim.resolve_workers()
+
     def test_mean_tracks_closed_form(self):
         params = ModelParams(delta=1.0, gamma=1.0)
         cfg = SimConfig(params=params, dt=0.005, t_final=6.0, seed=5, n_trajectories=4000)
