@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .model import (
     Branch,
-    CriticalBranch,
     ModelParams,
     SpinState,
     WellLabel,
@@ -25,7 +24,6 @@ from .model import (
 from .replica import (
     MomentSpec,
     NoStationaryLimitError,
-    ReplicaGenerator,
     build_generator,
     evolve,
     finite_time_moment,
@@ -33,9 +31,7 @@ from .replica import (
     mixed_initial_moment,
     moment_decay_rates,
     pair_initial_vector,
-    pair_jump_matrix,
     permutation_symmetry_defect,
-    spectrum,
 )
 from .simulate import (
     EnsembleResult,

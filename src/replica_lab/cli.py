@@ -61,6 +61,7 @@ from .simulate import PulseSpec, SimConfig, run_ensemble, run_paired_ensemble
 from .stats import MIN_MOMENT_SAMPLES, SampleSet, cross_moment, histogram, ks_uniform, moments
 
 _DECAY_GRID_POINTS = 201
+_DIST_MOMENT_ORDER = 6
 _REPLICA_VS_CLOSED_TOL = 1e-8
 _MOMENT_DEVIATION_TOL = 1e-7
 _SYMMETRY_DEFECT_TOL = 1e-9
@@ -110,12 +111,7 @@ _KEYS = {
     "seed": _Key(int, 20260810, "master seed"),
     "out-dir": _Key(str, None, "output directory (must not exist)"),
     "bins": _Key(int, 50, "histogram bins", ("dist",)),
-    "max-order": _Key(
-        int, 4,
-        f"moments: highest pure moment (<= {MAX_MOMENT_ORDER}); "
-        "dist: pure moments are reported up to min(max-order + 2, 6)",
-        ("moments", "dist"),
-    ),
+    "max-order": _Key(int, 4, f"highest pure moment (<= {MAX_MOMENT_ORDER})", ("moments",)),
     "phi": _Key(float, math.pi / 2, "pulse phase (radians)", ("pulse",)),
     "t0": _Key(float, 0.0, "pulse application time", ("pulse",)),
     "state-a": _Key(
@@ -319,9 +315,6 @@ def cmd_dist(cfg: argparse.Namespace) -> _Outcome:
     sim_cfg = _sim_config(cfg, (cfg.t_final,), MIN_MOMENT_SAMPLES)
     if cfg.bins < 2:
         raise CliError("bins must be >= 2")
-    moment_order = min(cfg.max_order + 2, 6)
-    if moment_order < 1:
-        raise CliError("max-order must be >= -1 (dist reports min(max-order + 2, 6) moments)")
     ensemble = run_ensemble(sim_cfg, SpinState.localized(WellLabel.LEFT))
     samples = SampleSet(
         ensemble.final_p_left, provenance=f"seed={cfg.seed} dt={_fmt(cfg.dt)}"
@@ -333,7 +326,7 @@ def cmd_dist(cfg: argparse.Namespace) -> _Outcome:
         [_fmt(hist.edges[i]), _fmt(hist.edges[i + 1]), int(hist.counts[i]), _fmt(hist.densities[i])]
         for i in range(cfg.bins)
     ]
-    reports = moments(samples, max_order=moment_order)
+    reports = moments(samples, max_order=_DIST_MOMENT_ORDER)
     crosses = [cross_moment(samples, 1, 1), cross_moment(samples, 2, 1)]
     payload = {
         "n_samples": samples.size,
@@ -436,9 +429,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         if out.exists() and not (out.is_dir() and not any(out.iterdir())):
             raise CliError(f"output path {out} exists and is not an empty directory; "
                            "refusing to overwrite")
+        ancestor = next(path for path in out.parents if path.exists())
+        if not ancestor.is_dir():
+            raise CliError(f"output path {out} lies below {ancestor}, which is not a directory")
         started = _utc_now()
         files, summary, failure = command(cfg)  # creates nothing on disk
-        _finish(out, cfg, started, files)
+        try:
+            _finish(out, cfg, started, files)
+        except OSError as exc:
+            raise CliError(f"cannot write output directory {out}: {exc}") from None
     except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

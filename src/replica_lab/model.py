@@ -84,23 +84,13 @@ class ModelParams:
         return self.gamma**2 - 4.0 * self.delta**2
 
 
-@dataclass(frozen=True)
-class CriticalBranch:
-    discriminant: float
-    branch: Branch
-
-
-def classify_branch(params: ModelParams) -> CriticalBranch:
+def classify_branch(params: ModelParams) -> Branch:
     """Classify the damping regime, with a relative window for the critical case."""
     disc = params.discriminant
     scale = max(params.gamma**2, 4.0 * params.delta**2, 1.0)
     if abs(disc) < EPS_CRIT * scale:
-        branch = Branch.CRITICAL
-    elif disc > 0:
-        branch = Branch.OVERDAMPED
-    else:
-        branch = Branch.UNDERDAMPED
-    return CriticalBranch(discriminant=disc, branch=branch)
+        return Branch.CRITICAL
+    return Branch.OVERDAMPED if disc > 0 else Branch.UNDERDAMPED
 
 
 @dataclass(frozen=True)
@@ -176,7 +166,7 @@ def closed_form_p_ll(params: ModelParams, t: float) -> float:
     if t == 0.0:
         return 1.0
     gamma = params.gamma
-    if classify_branch(params).branch is Branch.CRITICAL:
+    if classify_branch(params) is Branch.CRITICAL:
         return min(1.0, max(0.0, 0.5 + math.exp(-0.5 * gamma * t) * (0.5 + 0.25 * gamma * t)))
     root = cmath.sqrt(complex(params.discriminant))
     term_plus = cmath.exp(0.5 * t * (-gamma + root)) * (gamma + root) / (4.0 * root)
@@ -198,7 +188,7 @@ def closed_form_offdiag(params: ModelParams, t: float) -> complex:
     """
     _check_time(t)
     gamma, delta = params.gamma, params.delta
-    if classify_branch(params).branch is Branch.CRITICAL:
+    if classify_branch(params) is Branch.CRITICAL:
         return -0.5j * delta * t * math.exp(-0.5 * gamma * t)
     root = cmath.sqrt(complex(params.discriminant))
     e_fast = cmath.exp(-0.5 * t * (gamma + root))

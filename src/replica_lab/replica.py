@@ -8,10 +8,12 @@ moments are noise averages of polynomials in the final Bloch vector.
 Averaged over the noise, a function of the Bloch vector evolves under
 L = -i delta J_x - gamma J_z^2: tunneling turns the sphere about x and the
 kicks diffuse the azimuth about z.  Both terms keep the harmonic degree l, so
-L splits into blocks B_l = -(i delta/2)(J+ + J-) - gamma diag(m^2) of
-dimension 2l + 1, built from the ladder matrix sqrt(l(l+1) - m(m+1))
-(L. D. Favro, Phys. Rev. 119, 53 (1960); A. R. Edmonds, Angular Momentum in
-Quantum Mechanics (1957)).
+L splits into blocks -(i delta/2)(J+ + J-) - gamma diag(m^2) of dimension
+2l + 1, built from the ladder matrix sqrt(l(l+1) - m(m+1)) (L. D. Favro,
+Phys. Rev. 119, 53 (1960); A. R. Edmonds, Angular Momentum in Quantum
+Mechanics (1957)).  A quarter turn about z, diag(i^m), makes each block real:
+B_l = delta (J+^T - J+)/2 - gamma diag(m^2), where (J+^T - J+)/2 = -i J_y is
+also the generator of the turn that sets the polar angle.
 
   * MomentSpec moments at finite t: ((1+z)/2)^n ((1-z)/2)^m expands in
     Legendre polynomials P_l(z), l <= n + m; each term evolves in its block
@@ -30,10 +32,10 @@ path pairs jointly turns the noise average into a linear ODE on the
 
   * a diagonal dephasing part, -gamma * (sum of per-pair ket-bra separations)^2,
   * an off-diagonal tunneling part, (i*delta/2) times the Kronecker sum of the
-    single-pair jump matrix.
+    single-pair jump matrix ``PAIR_JUMP``.
 
-It now serves only finite-time mixed moments, ``spectrum`` and the tests,
-which use it as the oracle of the blocks.
+It serves only finite-time mixed moments, whose replicas start from
+different states, and the tests, which use it as the oracle of the blocks.
 
 Pair-state ordering is fixed as (ket, bra) = (L,L), (L,R), (R,L), (R,R) with
 indices 0..3 and ket-bra separations 0, -1, +1, 0.  Multi-pair indices are
@@ -42,7 +44,6 @@ little-endian base 4: pair 0 is the least significant digit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,7 +71,17 @@ _REAL_TOL = 1e-9
 # ket-bra separation per pair state, in units of the well spacing.
 PAIR_XI = np.array([0.0, -1.0, 1.0, 0.0])
 
-_WELL_TO_PAIR_INDEX = {WellLabel.LEFT: 0, WellLabel.RIGHT: 3}
+# Single-pair tunneling connectivity: entry (target, source) is +1 when the
+# ket path hops, -1 when the bra path hops (the conjugate amplitude flips the
+# sign); symmetric, rows sum to 0.
+PAIR_JUMP = np.array(
+    [
+        [0, -1, 1, 0],
+        [-1, 0, 0, 1],
+        [1, 0, 0, -1],
+        [0, 1, -1, 0],
+    ]
+)
 
 
 class NoStationaryLimitError(ValueError):
@@ -82,63 +93,16 @@ def _check_order(n: int, cap: int) -> None:
         raise ValueError(f"replica count must be in 1..{cap}, got {n}")
 
 
-def pair_jump_matrix() -> np.ndarray:
-    """Single-pair tunneling connectivity with transition-amplitude signs.
-
-    Entry (target, source) is +1 when the ket path hops, -1 when the bra path
-    hops (the conjugate amplitude flips the sign); symmetric, rows sum to 0.
-    """
-    return np.array(
-        [
-            [0.0, -1.0, 1.0, 0.0],
-            [-1.0, 0.0, 0.0, 1.0],
-            [1.0, 0.0, 0.0, -1.0],
-            [0.0, 1.0, -1.0, 0.0],
-        ]
-    )
-
-
-@dataclass(eq=False)
-class ReplicaGenerator:
-    """Generator G = diag(dephasing) + jump of the n-pair averaged dynamics."""
-
-    n_pairs: int
-    params: ModelParams
-    dephasing_diag: np.ndarray  # real, shape (4^n,), entries <= 0
-    jump: np.ndarray  # complex, shape (4^n, 4^n)
-
-    @property
-    def dim(self) -> int:
-        return 4**self.n_pairs
-
-    def matrix(self) -> np.ndarray:
-        mat = self.jump.astype(complex, copy=True)
-        mat[np.diag_indices_from(mat)] += self.dephasing_diag
-        return mat
-
-
-def _total_xi_vector(n: int) -> np.ndarray:
-    """Sum of per-pair ket-bra separations for every base-4 index."""
-    idx = np.arange(4**n)
-    total = np.zeros(4**n)
-    for _ in range(n):
-        total += PAIR_XI[idx % 4]
-        idx //= 4
-    return total
-
-
-def build_generator(n: int, params: ModelParams) -> ReplicaGenerator:
-    """Assemble the 4^n generator: dephasing diagonal plus tunneling Kronecker sum."""
+def build_generator(n: int, params: ModelParams) -> np.ndarray:
+    """The complex 4^n generator: dephasing diagonal plus tunneling Kronecker sum."""
     _check_order(n, N_MAX)
-    dephasing = -params.gamma * _total_xi_vector(n) ** 2
-    lam = pair_jump_matrix()
-    dim = 4**n
-    connectivity = np.zeros((dim, dim))
-    for k in range(n):
-        site = np.kron(np.kron(np.eye(4 ** (n - 1 - k)), lam), np.eye(4**k))
-        connectivity += site
-    jump = 0.5j * params.delta * connectivity
-    return ReplicaGenerator(n_pairs=n, params=params, dephasing_diag=dephasing, jump=jump)
+    xi, jump = np.zeros(1), np.zeros((1, 1), dtype=int)
+    for _ in range(n):  # the new pair is the most significant digit
+        jump = np.kron(np.eye(4, dtype=int), jump) + np.kron(PAIR_JUMP, np.eye(len(xi), dtype=int))
+        xi = np.add.outer(PAIR_XI, xi).ravel()
+    gen = 0.5j * params.delta * jump
+    gen[np.diag_indices_from(gen)] += -params.gamma * xi**2
+    return gen
 
 
 def _expm(mat: np.ndarray) -> np.ndarray:
@@ -149,15 +113,15 @@ def _expm(mat: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(mat)
 
 
-def evolve(gen: ReplicaGenerator, v0: np.ndarray, t: float) -> np.ndarray:
+def evolve(gen: np.ndarray, v0: np.ndarray, t: float) -> np.ndarray:
     """Propagate a coefficient vector: exp(G t) @ v0."""
     v0 = np.asarray(v0, dtype=complex)
-    if v0.shape != (gen.dim,):
-        raise ValueError(f"vector has shape {v0.shape}, generator dim is {gen.dim}")
+    if v0.shape != (len(gen),):
+        raise ValueError(f"vector has shape {v0.shape}, generator dim is {len(gen)}")
     _check_time(t)
     if t == 0.0:
         return v0.copy()
-    return _expm(gen.matrix() * t) @ v0
+    return _expm(gen * t) @ v0
 
 
 @dataclass(frozen=True)
@@ -185,15 +149,15 @@ def pair_initial_vector(state: SpinState) -> np.ndarray:
     return np.array([abs(a) ** 2, a * b.conjugate(), a.conjugate() * b, abs(b) ** 2])
 
 
-def _selector(well: WellLabel) -> np.ndarray:
-    vec = np.zeros(4)
-    vec[_WELL_TO_PAIR_INDEX[well]] = 1.0
-    return vec
-
-
-def _kron_chain(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor vectors so that vectors[k] addresses pair k (least significant)."""
-    return functools.reduce(np.kron, reversed(list(vectors)))
+def _pair_vectors(
+    replicas: Sequence[tuple[SpinState, WellLabel]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Initial vector and final-well selector of the replicas on the 4^n pair space."""
+    v0, sel = np.ones(1), np.ones(1)
+    for state, well in reversed(replicas):  # replica k is pair k, k = 0 least significant
+        v0 = np.kron(v0, pair_initial_vector(state))
+        sel = np.kron(sel, np.eye(4)[0 if well is WellLabel.LEFT else 3])
+    return v0, sel
 
 
 def _as_probability(value: complex) -> float:
@@ -204,38 +168,42 @@ def _as_probability(value: complex) -> float:
     return min(1.0, max(0.0, value.real))
 
 
-def _raising(ell: int) -> np.ndarray:
-    """J+ on |ell, m>, m = -ell..ell: J+ |m> = sqrt(ell(ell+1) - m(m+1)) |m+1>."""
+def _turn(ell: int) -> np.ndarray:
+    """-i J_y = (J+^T - J+)/2 on |ell, m>, m = -ell..ell.
+
+    J+ |m> = sqrt(ell(ell+1) - m(m+1)) |m+1> is the raising ladder.
+    """
     m = np.arange(-ell, ell, dtype=float)
-    return np.diag(np.sqrt(ell * (ell + 1) - m * (m + 1)), -1)
+    up = np.diag(np.sqrt(ell * (ell + 1) - m * (m + 1)), -1)
+    return 0.5 * (up.T - up)
 
 
 def _block(ell: int, params: ModelParams) -> np.ndarray:
-    """Degree-ell block -(i delta/2)(J+ + J-) - gamma J_z^2 of the noise-averaged generator."""
-    up = _raising(ell)
+    """Degree-ell block of the noise-averaged generator, made real by the quarter turn diag(i^m)."""
     m = np.arange(-ell, ell + 1, dtype=float)
-    return -0.5j * params.delta * (up + up.T) - params.gamma * np.diag(m**2)
+    return params.delta * _turn(ell) - params.gamma * np.diag(m**2)
 
 
 def _legendre_terms(spec: MomentSpec, params: ModelParams):
     """(a_l, bra, B_l) of each Legendre term a_l P_l(z) of the moment's polynomial.
 
     The term contributes a_l bra @ exp(B_l t)[:, l], where e_l = |l, 0> is
-    column l and bra = (D_l e_l)^H with D_l = exp(-i phi J_z) exp(-i theta J_y)
-    turning |l, 0> to the initial Bloch angles.  The blocks take phi as the
-    azimuth of x + iy = 2 a* b, the mirror image in y of ``model._bloch``,
-    hence the minus sign below.
+    column l.  Before the quarter turn the bra is (D_l e_l)^H, with
+    D_l = exp(-i phi J_z) exp(-i theta J_y) turning |l, 0> to the initial
+    Bloch angles; after it, its entries are exp(-i m (phi - pi/2)) times the
+    real column exp(theta (-i J_y))[:, l].  In that column and in the real
+    evolved one, entries m and -m differ by (-1)^m, so the sine parts cancel
+    and only cos(m (phi - pi/2)) remains.
     """
     x, y, z = _bloch(spec.initial_state)
-    theta, phi = math.atan2(math.hypot(x, y), z), -math.atan2(y, x)
+    theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
     poly = polynomial.polymul(
         polynomial.polypow([0.5, 0.5], spec.n_left), polynomial.polypow([0.5, -0.5], spec.n_right)
     )
     for ell, coeff in enumerate(legendre.poly2leg(poly)):
-        up = _raising(ell)
-        turned = _expm(0.5 * theta * (up.T - up))[:, ell]
-        turned = turned * np.exp(-1j * phi * np.arange(-ell, ell + 1))
-        yield coeff, turned.conj(), _block(ell, params)
+        m = np.arange(-ell, ell + 1)
+        bra = _expm(theta * _turn(ell))[:, ell] * np.cos(m * (phi - 0.5 * math.pi))
+        yield coeff, bra, _block(ell, params)
 
 
 def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float:
@@ -245,7 +213,7 @@ def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float
     if t == 0.0:
         z = _bloch(spec.initial_state)[2]
         return _as_probability(((1.0 + z) / 2.0) ** spec.n_left * ((1.0 - z) / 2.0) ** spec.n_right)
-    value = 0j
+    value = 0.0
     for ell, (coeff, bra, block) in enumerate(_legendre_terms(spec, params)):
         value += coeff * (bra @ _expm(block * t)[:, ell])
     return _as_probability(value)
@@ -307,16 +275,8 @@ def mixed_initial_moment(
         _require_stationary(params)
         return _as_probability(_haar_average(replicas))
     _check_order(n, N_MAX)
-    v0 = _kron_chain([pair_initial_vector(state) for state, _ in replicas])
-    sel = _kron_chain([_selector(well) for _, well in replicas])
+    v0, sel = _pair_vectors(replicas)
     return _as_probability(sel @ evolve(build_generator(n, params), v0, t))
-
-
-def spectrum(gen: ReplicaGenerator) -> np.ndarray:
-    """All eigenvalues of the generator, sorted by real part descending."""
-    eigvals = np.linalg.eigvals(gen.matrix())
-    order = np.lexsort((-eigvals.imag, -eigvals.real))
-    return eigvals[order]
 
 
 def _zero_cutoff(params: ModelParams) -> float:
@@ -335,7 +295,7 @@ def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
     the same l appear once here.
 
     A weight counts as negligible against sum_l |a_l|, which bounds every
-    term at every t >= 0 (the bra is a unit vector and exp(B_l t) a
+    term at every t >= 0 (the bra has norm at most 1 and exp(B_l t) is a
     contraction).  The summed mode weights are no such scale: near
     gamma = 2 delta, where B_1 is defective, two nearly equal modes carry
     large weights that cancel.

@@ -67,11 +67,7 @@ def moments(samples: SampleSet, max_order: int) -> list[MomentReport]:
     """Sample moments <P^n> for n = 1..max_order against the uniform references."""
     if not 1 <= max_order <= 10:
         raise ValueError("max_order must be in 1..10")
-    if samples.size < MIN_MOMENT_SAMPLES:
-        raise ValueError(f"need >= {MIN_MOMENT_SAMPLES} samples for moment reports, got {samples.size}")
-    return [
-        _report(samples.values**n, (n, 0), 1.0 / (n + 1)) for n in range(1, max_order + 1)
-    ]
+    return [cross_moment(samples, n, 0) for n in range(1, max_order + 1)]
 
 
 def cross_moment(samples: SampleSet, n: int, m: int) -> MomentReport:

@@ -1,4 +1,4 @@
-"""MomentSpec moments from the dense 4^n generator, as test oracles.
+"""MomentSpec moments and the spectrum of the dense 4^n generator, as test oracles.
 
 ``_spec_vectors`` gives a spec's initial vector and selector on the 4^n
 path-pair space.  Both stationary oracles contract the stationary projector of
@@ -9,31 +9,33 @@ production code uses:
     full eigendecomposition;
   * ``resolvent_moment``: the small-frequency residue lam * (lam I - G)^-1
     with Richardson extrapolation, mirroring the Laplace-domain argument.
+
+``spectrum`` sorts the generator's eigenvalues, the oracle of the decay
+rates.
 """
 
 import numpy as np
 
 from replica_lab.model import ModelParams, WellLabel
-from replica_lab.replica import (
-    MomentSpec,
-    _kron_chain,
-    _selector,
-    _zero_cutoff,
-    build_generator,
-    pair_initial_vector,
-)
+from replica_lab.replica import MomentSpec, _pair_vectors, _zero_cutoff, build_generator
 
 
 def _spec_vectors(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray]:
-    init = pair_initial_vector(spec.initial_state)
-    v0 = _kron_chain([init] * spec.n_pairs)
-    sels = [_selector(WellLabel.LEFT)] * spec.n_left + [_selector(WellLabel.RIGHT)] * spec.n_right
-    return v0, _kron_chain(sels)
+    state = spec.initial_state
+    return _pair_vectors([(state, WellLabel.LEFT)] * spec.n_left
+                         + [(state, WellLabel.RIGHT)] * spec.n_right)
 
 
 def _dense(spec: MomentSpec, params: ModelParams):
     v0, sel = _spec_vectors(spec)
-    return build_generator(spec.n_pairs, params).matrix(), v0.astype(complex), sel
+    return build_generator(spec.n_pairs, params), v0.astype(complex), sel
+
+
+def spectrum(gen: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the generator, sorted by real part descending."""
+    eigvals = np.linalg.eigvals(gen)
+    order = np.lexsort((-eigvals.imag, -eigvals.real))
+    return eigvals[order]
 
 
 def eig_moment(spec: MomentSpec, params: ModelParams) -> complex:

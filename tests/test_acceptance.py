@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 import scipy.integrate
+from dense_oracles import spectrum
 
 from replica_lab.cli import main as cli_main
 from replica_lab.model import (
@@ -37,7 +38,6 @@ from replica_lab.replica import (
     infinite_time_moment,
     pair_initial_vector,
     permutation_symmetry_defect,
-    spectrum,
 )
 from replica_lab.simulate import PulseSpec, SimConfig, run_ensemble, run_paired_ensemble
 from replica_lab.stats import SampleSet, histogram, ks_uniform, moments

@@ -112,6 +112,7 @@ class TestDist:
         assert run_cli("dist", "--trajectories", "1500", "--out-dir", str(out)) == 0
         payload = read_json(out / "dist.json")
         assert payload["n_samples"] == 1500
+        assert [m["order"] for m in payload["moments"]] == [[n, 0] for n in range(1, 7)]
         assert 0.0 <= payload["ks"]["p_value"] <= 1.0
         with open(out / "histogram.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
@@ -252,6 +253,24 @@ class TestConfigHandling:
         assert "is not an empty directory" in capsys.readouterr().err
         assert out.read_text() == "keep me\n"
 
+    def test_out_dir_below_a_file_is_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("keep me\n")
+        assert run_cli("moments", "--out-dir", str(afile / "sub")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{afile}, which is not a directory" in err
+        assert "Traceback" not in err
+        assert afile.read_text() == "keep me\n"
+
+    def test_write_error_is_error(self, tmp_path, monkeypatch, capsys):
+        def full_disk(path, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("replica_lab.cli._write_atomic", full_disk)
+        out = tmp_path / "run"
+        assert run_cli("moments", "--out-dir", str(out)) == 2
+        assert f"error: cannot write output directory {out}: " in capsys.readouterr().err
+
     def test_existing_empty_out_dir_is_used(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
@@ -282,7 +301,6 @@ class TestConfigHandling:
             ["dist", "--seed", "-1"],
             ["dist", "--trajectories", "0"],
             ["dist", "--bins", "1"],
-            ["dist", "--max-order", "-2"],
             ["sense", "--state-a", "1,0,1,0"],
             ["pulse", "--t0", "-1"],
             ["moments", "--gamma", "0", "--t-final", "5"],
@@ -296,7 +314,7 @@ class TestConfigHandling:
         ],
         ids=[
             "max-order-high", "max-order-low", "seed", "trajectories", "bins",
-            "dist-max-order", "state", "t0", "moments-gamma-0", "moments-delta-0",
+            "state", "t0", "moments-gamma-0", "moments-delta-0",
             "t0-past-horizon", "dist-40", "dist-80", "sense-1", "pulse-1",
             "decay-1",
         ],
@@ -304,6 +322,15 @@ class TestConfigHandling:
     def test_invalid_input_creates_no_directory(self, tmp_path, argv):
         out = tmp_path / "run"
         assert run_cli(*argv, "--out-dir", str(out)) == 2
+        assert not out.exists()
+
+    def test_dist_takes_no_max_order(self, tmp_path, capsys):
+        # dist always reports orders 1..6; max-order is a moments key
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("dist", "--max-order", "3", "--out-dir", str(out))
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --max-order 3" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -316,7 +343,7 @@ class TestParser:
         expected = {
             "decay": shared,
             "moments": shared | {"--max-order": int},
-            "dist": shared | {"--bins": int, "--max-order": int},
+            "dist": shared | {"--bins": int},
             "sense": shared | {"--state-a": str, "--state-b": str},
             "pulse": shared | {"--phi": float, "--t0": float, "--state-a": str},
         }
@@ -347,7 +374,7 @@ class TestReproducibility:
             "--gamma", repr(cfg["gamma"]), "--delta", repr(cfg["delta"]),
             "--dt", repr(cfg["dt"]), "--t-final", repr(cfg["t-final"]),
             "--trajectories", str(cfg["trajectories"]), "--seed", str(cfg["seed"]),
-            "--bins", str(cfg["bins"]), "--max-order", str(cfg["max-order"]),
+            "--bins", str(cfg["bins"]),
             "--out-dir", str(out2),
         )
         assert code == 0

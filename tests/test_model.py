@@ -76,21 +76,16 @@ class TestSpinState:
 
 class TestBranch:
     def test_classification(self):
-        assert classify_branch(ModelParams(delta=1.0, gamma=5.0)).branch is Branch.OVERDAMPED
-        assert classify_branch(ModelParams(delta=1.0, gamma=0.2)).branch is Branch.UNDERDAMPED
-        assert classify_branch(ModelParams(delta=1.0, gamma=2.0)).branch is Branch.CRITICAL
+        assert classify_branch(ModelParams(delta=1.0, gamma=5.0)) is Branch.OVERDAMPED
+        assert classify_branch(ModelParams(delta=1.0, gamma=0.2)) is Branch.UNDERDAMPED
+        assert classify_branch(ModelParams(delta=1.0, gamma=2.0)) is Branch.CRITICAL
 
     def test_critical_window_is_relative(self):
-        assert classify_branch(ModelParams(delta=1.0, gamma=2.0 * (1 + 1e-7))).branch is (
-            Branch.OVERDAMPED
-        )
-        assert classify_branch(ModelParams(delta=1.0, gamma=2.0 * (1 + 1e-11))).branch is (
-            Branch.CRITICAL
-        )
+        assert classify_branch(ModelParams(delta=1.0, gamma=2.0 * (1 + 1e-7))) is Branch.OVERDAMPED
+        assert classify_branch(ModelParams(delta=1.0, gamma=2.0 * (1 + 1e-11))) is Branch.CRITICAL
 
     def test_discriminant_field(self):
-        cb = classify_branch(ModelParams(delta=1.0, gamma=3.0))
-        assert cb.discriminant == pytest.approx(5.0)
+        assert ModelParams(delta=1.0, gamma=3.0).discriminant == pytest.approx(5.0)
 
 
 class TestClosedFormPll:

@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from dense_oracles import _spec_vectors, eig_moment, resolvent_moment
+from dense_oracles import _spec_vectors, eig_moment, resolvent_moment, spectrum
 
 from replica_lab.model import (
     MAX_MOMENT_ORDER,
@@ -19,11 +20,11 @@ from replica_lab.model import (
 from replica_lab import replica
 from replica_lab.replica import (
     N_MAX,
+    PAIR_JUMP,
     PAIR_XI,
     MomentSpec,
     NoStationaryLimitError,
     _block,
-    _kron_chain,
     build_generator,
     evolve,
     finite_time_moment,
@@ -31,9 +32,7 @@ from replica_lab.replica import (
     mixed_initial_moment,
     moment_decay_rates,
     pair_initial_vector,
-    pair_jump_matrix,
     permutation_symmetry_defect,
-    spectrum,
 )
 
 LEFT = SpinState.localized(WellLabel.LEFT)
@@ -94,18 +93,17 @@ class TestPairBasis:
         expected = np.array(
             [[0, -1, 1, 0], [-1, 0, 0, 1], [1, 0, 0, -1], [0, 1, -1, 0]], dtype=float
         )
-        assert np.array_equal(pair_jump_matrix(), expected)
+        assert np.array_equal(PAIR_JUMP, expected)
 
     def test_jump_matrix_symmetric_zero_rowsum(self):
-        lam = pair_jump_matrix()
-        assert np.array_equal(lam, lam.T)
-        assert np.array_equal(lam.sum(axis=1), np.zeros(4))
+        assert np.array_equal(PAIR_JUMP, PAIR_JUMP.T)
+        assert np.array_equal(PAIR_JUMP.sum(axis=1), np.zeros(4))
 
 
 class TestBuildGenerator:
     def test_single_pair_dephasing_diagonal(self):
         gen = build_generator(1, ModelParams(delta=1.0, gamma=2.5))
-        assert np.allclose(gen.dephasing_diag, [0.0, -2.5, -2.5, 0.0])
+        assert np.array_equal(np.diag(gen), [0.0, -2.5, -2.5, 0.0])
 
     def test_two_pair_dephasing_values(self):
         gamma = 1.7
@@ -113,23 +111,27 @@ class TestBuildGenerator:
         both_lr = 1 + 1 * 4  # both pairs in the ket-L/bra-R coherence
         both_rl = 2 + 2 * 4
         opposed = 1 + 2 * 4  # separations -1 and +1 cancel
-        assert gen.dephasing_diag[both_lr] == pytest.approx(-4.0 * gamma)
-        assert gen.dephasing_diag[both_rl] == pytest.approx(-4.0 * gamma)
-        assert gen.dephasing_diag[opposed] == 0.0
+        dephasing = np.diag(gen)
+        assert dephasing[both_lr] == pytest.approx(-4.0 * gamma)
+        assert dephasing[both_rl] == pytest.approx(-4.0 * gamma)
+        assert dephasing[opposed] == 0.0
 
     def test_dephasing_nonpositive_and_diagonal_states_zero(self):
         gen = build_generator(3, ModelParams(delta=1.0, gamma=1.0))
-        assert np.all(gen.dephasing_diag <= 0.0)
-        for index in range(gen.dim):
+        dephasing = np.diag(gen)
+        assert np.all(dephasing.imag == 0.0) and np.all(dephasing.real <= 0.0)
+        for index in range(len(gen)):
             digits = [(index // 4**k) % 4 for k in range(3)]  # little-endian, pair 0 first
             if all(PAIR_XI[d] == 0.0 for d in digits):
-                assert gen.dephasing_diag[index] == 0.0
+                assert dephasing[index] == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_jump_structure(self, n):
         delta = 1.3
         gen = build_generator(n, ModelParams(delta=delta, gamma=0.7))
-        connectivity = gen.jump / (0.5j * delta)
+        # the jump part is off the diagonal, whose entries are real (the dephasing)
+        assert np.all(np.diag(gen).imag == 0.0)
+        connectivity = (gen - np.diag(np.diag(gen))) / (0.5j * delta)
         assert np.allclose(connectivity.imag, 0.0)
         real = connectivity.real
         assert np.allclose(real, real.T)
@@ -168,7 +170,7 @@ class TestEvolve:
         v0 = np.kron(
             *([pair_initial_vector(LEFT)] * 2)
         ) if n == 2 else pair_initial_vector(LEFT)
-        sel = _kron_chain([[1, 0, 0, 1]] * n)
+        sel = functools.reduce(np.kron, [[1, 0, 0, 1]] * n)
         for t in np.linspace(0.0, 12.0, 13):
             total = sel @ evolve(gen, v0, float(t))
             assert abs(total - 1.0) < 1e-9
@@ -206,7 +208,7 @@ class TestResolventIsLaplaceTransform:
     @pytest.mark.parametrize("gamma,delta", [(1.0, 1.0), (3.0, 1.0), (0.5, 2.0)])
     def test_single_pair_entry(self, gamma, delta):
         params = ModelParams(delta=delta, gamma=gamma)
-        mat = build_generator(1, params).matrix()
+        mat = build_generator(1, params)
         for lam in (0.31, 1.0, 2.7):
             resolvent = np.linalg.inv(lam * np.eye(4) - mat)
             assert resolvent[0, 0] == pytest.approx(laplace_p_ll(params, lam), abs=1e-12)
@@ -214,14 +216,14 @@ class TestResolventIsLaplaceTransform:
     @pytest.mark.parametrize("gamma,delta", [(1.0, 1.0), (3.0, 1.0)])
     def test_two_pair_entry(self, gamma, delta):
         params = ModelParams(delta=delta, gamma=gamma)
-        mat = build_generator(2, params).matrix()
+        mat = build_generator(2, params)
         for lam in (0.31, 1.0, 2.7):
             resolvent = np.linalg.inv(lam * np.eye(16) - mat)
             assert resolvent[0, 0] == pytest.approx(laplace_p_ll_sq(params, lam), abs=1e-10)
 
     def test_residue_at_origin(self):
         params = ModelParams(delta=1.0, gamma=1.0)
-        mat = build_generator(1, params).matrix()
+        mat = build_generator(1, params)
         values = []
         for lam in (1e-6, 5e-7):
             resolvent = np.linalg.inv(lam * np.eye(4) - mat)
@@ -258,7 +260,7 @@ class TestFiniteTimeMoment:
                 assert 0.0 <= value <= 1.0
 
     @pytest.mark.parametrize("gamma", RATIOS)
-    def test_sector_matches_dense_evolution(self, gamma):
+    def test_blocks_match_dense_evolution(self, gamma):
         params = ModelParams(delta=1.0, gamma=gamma)
         rng = np.random.default_rng(17)
         for order in range(1, 5):
@@ -270,6 +272,20 @@ class TestFiniteTimeMoment:
                     spec = MomentSpec(state, n_left, order - n_left)
                     dense = (_spec_vectors(spec)[1] @ evolved).real
                     assert finite_time_moment(spec, params, t) == pytest.approx(dense, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_blocks_are_quarter_turned_generator_blocks(self, gamma):
+        # diag(i^m)^-1 (-(i delta/2)(J+ + J-) - gamma diag(m^2)) diag(i^m) is real
+        params = ModelParams(delta=1.0, gamma=gamma)
+        for ell in range(MAX_MOMENT_ORDER + 1):
+            m = np.arange(-ell, ell + 1)
+            up = np.diag(np.sqrt(ell * (ell + 1) - m[:-1] * (m[:-1] + 1.0)), -1)
+            generator = -0.5j * params.delta * (up + up.T) - gamma * np.diag(m**2.0)
+            quarter = np.array([1, 1j, -1, -1j])[m % 4]
+            expected = quarter.conj()[:, None] * generator * quarter[None, :]
+            block = _block(ell, params)
+            assert block.dtype == np.float64
+            assert np.max(np.abs(block - expected)) <= 1e-15
 
     def test_sum_rule_past_dense_cap(self):
         # sum_k C(n, k) <P_L^k P_R^(n-k)> = <(P_L + P_R)^n> = 1 at every t
