@@ -55,6 +55,7 @@ from .replica import (
     MomentSpec,
     finite_time_moment,
     infinite_time_moment,
+    mixed_initial_moment,
     permutation_symmetry_defect,
 )
 from .simulate import PulseSpec, SimConfig, run_ensemble, run_paired_ensemble
@@ -344,6 +345,10 @@ def cmd_dist(cfg: argparse.Namespace) -> _Outcome:
     return files, f"KS p={p_value:.4g}", None
 
 
+def _z_score(mean: float, reference: float, se: float) -> float:
+    return (mean - reference) / se if se > 0 else 0.0
+
+
 def cmd_sense(cfg: argparse.Namespace) -> _Outcome:
     state_a = _state_from(cfg.state_a)
     state_b = _state_from(cfg.state_b)
@@ -353,18 +358,28 @@ def cmd_sense(cfg: argparse.Namespace) -> _Outcome:
     a, b = complex(state_a.amp_left), complex(state_a.amp_right)
     ap, bp = complex(state_b.amp_left), complex(state_b.amp_right)
     reference = abs(a * bp - ap * b) ** 2 / 3.0
+    # <(P_A - P_B)^2> = <P_A^2> + <P_B^2> - 2 <P_A P_B> at the simulated horizon
+    t = sim_cfg.t_simulated
+    pa2, pb2, pab = (
+        mixed_initial_moment([(s, WellLabel.LEFT), (r, WellLabel.LEFT)], cfg.params, t)
+        for s, r in ((state_a, state_a), (state_b, state_b), (state_a, state_b))
+    )
+    reference_at_t = pa2 + pb2 - 2.0 * pab
     se = paired.se_sq_diff
-    z = (paired.mean_sq_diff - reference) / se if se > 0 else 0.0
+    z = _z_score(paired.mean_sq_diff, reference, se)
+    z_at_t = _z_score(paired.mean_sq_diff, reference_at_t, se)
     payload = {
         "mean_sq_diff": paired.mean_sq_diff,
         "standard_error": se,
         "reference": reference,
         "z_score": z,
+        "reference_at_t": reference_at_t,
+        "z_score_at_t": z_at_t,
         "n_trajectories": cfg.trajectories,
         "t_final": cfg.t_final,
         "t_simulated": sim_cfg.t_simulated,
     }
-    return {"sense.json": _json_bytes(payload)}, f"z={z:+.2f}", None
+    return {"sense.json": _json_bytes(payload)}, f"z={z:+.2f} z_at_t={z_at_t:+.2f}", None
 
 
 def cmd_pulse(cfg: argparse.Namespace) -> _Outcome:
@@ -378,7 +393,7 @@ def cmd_pulse(cfg: argparse.Namespace) -> _Outcome:
     factor = finite_time_moment(MomentSpec(initial, 1, 1), cfg.params, t0_snapped)
     predicted = factor * 4.0 * math.sin(cfg.phi) ** 2 / 3.0
     se = paired.se_sq_diff
-    z = (paired.mean_sq_diff - predicted) / se if se > 0 else 0.0
+    z = _z_score(paired.mean_sq_diff, predicted, se)
     payload = {
         "mean_sq_diff": paired.mean_sq_diff,
         "standard_error": se,

@@ -2,8 +2,10 @@
 
 A single noise realization turns the Bloch vector r of the initial state by
 one random rotation R(t), so the probability of ending in the left well,
-P = (1 + z)/2 with z the final Bloch z, is itself a random variable.  Its
-moments are noise averages of polynomials in the final Bloch vector.
+P = (1 + z)/2 with z the final Bloch z, is itself a random variable.  With
+u = R^T z-hat, replica k started from Bloch vector r_k ends in the left
+(right) well with probability (1 +- u.r_k)/2, so every moment is the noise
+average of F(u) = prod_k (1 +- u.r_k)/2, a polynomial of degree n in u.
 
 Averaged over the noise, a function of the Bloch vector evolves under
 L = -i delta J_x - gamma J_z^2: tunneling turns the sphere about x and the
@@ -15,16 +17,23 @@ Mechanics (1957)).  A quarter turn about z, diag(i^m), makes each block real:
 B_l = delta (J+^T - J+)/2 - gamma diag(m^2), where (J+^T - J+)/2 = -i J_y is
 also the generator of the turn that sets the polar angle.
 
-  * MomentSpec moments at finite t: ((1+z)/2)^n ((1-z)/2)^m expands in
-    Legendre polynomials P_l(z), l <= n + m; each term evolves in its block
-    and is read at the initial Bloch angles.  The moment's decay rates are
-    the eigenvalues of those blocks, kept where the term weighs them.
+Every moment goes through one harmonic projection.  Let b_l(u) be the bra of
+degree l at u: the column exp(theta_u (-i J_y))[:, l] times
+cos(m (phi_u - pi/2)), which is |l, 0> turned to u and quarter-turned.  (The
+turn gives exp(-i m (phi_u - pi/2)); entries m and -m of the real column and
+of the real evolved one differ by (-1)^m, so the sine parts cancel.)  Its
+entries are degree-l harmonics, so c_l = (2l+1)/(4 pi) int F(u) b_l(u) dOmega
+projects out the degree-l part of F, and Funk-Hecke plus linearity give the
+moment at t as sum_l c_l @ exp(B_l t)[:, l].  A Gauss-Legendre (n + 1) times
+trapezoid (2n + 1) grid integrates the degree-2n integrand exactly.
+
+  * Finite-time moments, of one initial state (MomentSpec) or of one state
+    per replica, sum the terms.  The moment's decay rates are the
+    eigenvalues of the blocks, kept where the term weighs them.
   * Stationary moments: for gamma, delta > 0 every block with l >= 1 decays,
-    so u = R^T z-hat ends up uniform on the sphere and each replica's
-    probability is (1 +- u.r_k)/2.  The product is a polynomial of degree n
-    in u, which a Gauss-Legendre times trapezoid rule integrates exactly.
-    Nothing is inverted or diagonalized, so the critical point
-    gamma = 2 delta, where B_1 is defective, needs no special care.
+    so the moment tends to c_0, the average of F over the sphere.  Nothing
+    is inverted or diagonalized, so the critical point gamma = 2 delta,
+    where B_1 is defective, needs no special care.
 
 The dense path-pair generator is the paper's object.  Propagating n (ket, bra)
 path pairs jointly turns the noise average into a linear ODE on the
@@ -34,8 +43,8 @@ path pairs jointly turns the noise average into a linear ODE on the
   * an off-diagonal tunneling part, (i*delta/2) times the Kronecker sum of the
     single-pair jump matrix ``PAIR_JUMP``.
 
-It serves only finite-time mixed moments, whose replicas start from
-different states, and the tests, which use it as the oracle of the blocks.
+No production path builds it: it serves only the tests, as the oracle of the
+blocks.
 
 Pair-state ordering is fixed as (ket, bra) = (L,L), (L,R), (R,L), (R,R) with
 indices 0..3 and ket-bra separations 0, -1, +1, 0.  Multi-pair indices are
@@ -49,12 +58,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import legendre, polynomial
+from numpy.polynomial import legendre
 
 from .model import MAX_MOMENT_ORDER, ModelParams, SpinState, WellLabel, _bloch, _check_time
 
-# Largest replica count of the dense generator; dim 4^6 = 4096 keeps dense
-# linear algebra workable.
+# Largest replica count of the dense generator, the tests' oracle; dim
+# 4^6 = 4096 keeps dense linear algebra workable.
 N_MAX = 6
 
 # Eigenvalues with |mu| below this times max(gamma, delta) count as the
@@ -62,8 +71,8 @@ N_MAX = 6
 # not decay.
 ZERO_EIG_REL_CUTOFF = 1e-10
 
-# Modes whose weight is below this share of sum_l |a_l| are absent from a
-# moment's decay rates.
+# Terms and modes whose weight is below this share of sum_l ||c_l|| are absent
+# from a moment's decay rates.
 _REL_WEIGHT_TOL = 1e-9
 
 _REAL_TOL = 1e-9
@@ -74,14 +83,7 @@ PAIR_XI = np.array([0.0, -1.0, 1.0, 0.0])
 # Single-pair tunneling connectivity: entry (target, source) is +1 when the
 # ket path hops, -1 when the bra path hops (the conjugate amplitude flips the
 # sign); symmetric, rows sum to 0.
-PAIR_JUMP = np.array(
-    [
-        [0, -1, 1, 0],
-        [-1, 0, 0, 1],
-        [1, 0, 0, -1],
-        [0, 1, -1, 0],
-    ]
-)
+PAIR_JUMP = np.array([[0, -1, 1, 0], [-1, 0, 0, 1], [1, 0, 0, -1], [0, 1, -1, 0]])
 
 
 class NoStationaryLimitError(ValueError):
@@ -106,11 +108,24 @@ def build_generator(n: int, params: ModelParams) -> np.ndarray:
 
 
 def _expm(mat: np.ndarray) -> np.ndarray:
-    """Matrix exponential.  ``scipy.linalg`` loads here, on first use, so that
-    the simulator and the statistics never pay for its import."""
-    import scipy.linalg
+    """Matrix exponential: a degree-18 Taylor sum of A/2^s with ||A/2^s||_1 <= 1/2,
+    squared s times (N. J. Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
 
-    return scipy.linalg.expm(mat)
+    The squarings act on D = exp(A/2^s) - I, as (I + D)^2 = I + 2D + D^2, so a
+    slow mode of a strongly damped block, 1 - O(2^-s) in exp(A/2^s), keeps its
+    deviation from 1 instead of losing it to rounding 2^s times over.
+    """
+    norm = np.abs(mat).sum(axis=0).max(initial=0.0)
+    squarings = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
+    scaled = mat * math.ldexp(1.0, -squarings)
+    eye = np.eye(len(mat), dtype=scaled.dtype)
+    inner = eye
+    for k in range(18, 1, -1):
+        inner = eye + scaled @ inner / k
+    dev = scaled @ inner
+    for _ in range(squarings):
+        dev = 2.0 * dev + dev @ dev
+    return eye + dev
 
 
 def evolve(gen: np.ndarray, v0: np.ndarray, t: float) -> np.ndarray:
@@ -149,9 +164,7 @@ def pair_initial_vector(state: SpinState) -> np.ndarray:
     return np.array([abs(a) ** 2, a * b.conjugate(), a.conjugate() * b, abs(b) ** 2])
 
 
-def _pair_vectors(
-    replicas: Sequence[tuple[SpinState, WellLabel]],
-) -> tuple[np.ndarray, np.ndarray]:
+def _pair_vectors(replicas: Sequence[tuple[SpinState, WellLabel]]) -> tuple[np.ndarray, np.ndarray]:
     """Initial vector and final-well selector of the replicas on the 4^n pair space."""
     v0, sel = np.ones(1), np.ones(1)
     for state, well in reversed(replicas):  # replica k is pair k, k = 0 least significant
@@ -184,76 +197,67 @@ def _block(ell: int, params: ModelParams) -> np.ndarray:
     return params.delta * _turn(ell) - params.gamma * np.diag(m**2)
 
 
-def _legendre_terms(spec: MomentSpec, params: ModelParams):
-    """(a_l, bra, B_l) of each Legendre term a_l P_l(z) of the moment's polynomial.
+def _spec_replicas(spec: MomentSpec) -> list[tuple[SpinState, WellLabel]]:
+    state = spec.initial_state
+    return [(state, WellLabel.LEFT)] * spec.n_left + [(state, WellLabel.RIGHT)] * spec.n_right
 
-    The term contributes a_l bra @ exp(B_l t)[:, l], where e_l = |l, 0> is
-    column l.  Before the quarter turn the bra is (D_l e_l)^H, with
-    D_l = exp(-i phi J_z) exp(-i theta J_y) turning |l, 0> to the initial
-    Bloch angles; after it, its entries are exp(-i m (phi - pi/2)) times the
-    real column exp(theta (-i J_y))[:, l].  In that column and in the real
-    evolved one, entries m and -m differ by (-1)^m, so the sine parts cancel
-    and only cos(m (phi - pi/2)) remains.
+
+def _signed_bloch(replicas: Sequence[tuple[SpinState, WellLabel]]) -> np.ndarray:
+    """(n, 3) rows +-r_k: replica k's Bloch vector, negated for the right well."""
+    return np.array([_bloch(s) * (1.0 if w is WellLabel.LEFT else -1.0) for s, w in replicas])
+
+
+def _terms(bloch: np.ndarray, params: ModelParams):
+    """(c_l, B_l) for l = 0..n: the projection of F(u) = prod_k (1 + u.bloch_k)/2 on b_l.
+
+    F is sampled on the Gauss-Legendre times trapezoid grid.  The trapezoid
+    sums of F cos(m (phi - pi/2)) are one matrix product that every l shares.
+    The columns exp(theta (-i J_y))[:, l] at all nodes come from one eigh of
+    the Hermitian J_y = i (-i J_y), whose eigenvalues -l..l are distinct.
     """
-    x, y, z = _bloch(spec.initial_state)
-    theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
-    poly = polynomial.polymul(
-        polynomial.polypow([0.5, 0.5], spec.n_left), polynomial.polypow([0.5, -0.5], spec.n_right)
-    )
-    for ell, coeff in enumerate(legendre.poly2leg(poly)):
-        m = np.arange(-ell, ell + 1)
-        bra = _expm(theta * _turn(ell))[:, ell] * np.cos(m * (phi - 0.5 * math.pi))
-        yield coeff, bra, _block(ell, params)
-
-
-def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float:
-    """<P_L^n_left P_R^n_right> at time t, exact to solver tolerance: a sum over l-blocks."""
-    _check_time(t)
-    _check_order(spec.n_pairs, MAX_MOMENT_ORDER)
-    if t == 0.0:
-        z = _bloch(spec.initial_state)[2]
-        return _as_probability(((1.0 + z) / 2.0) ** spec.n_left * ((1.0 - z) / 2.0) ** spec.n_right)
-    value = 0.0
-    for ell, (coeff, bra, block) in enumerate(_legendre_terms(spec, params)):
-        value += coeff * (bra @ _expm(block * t)[:, ell])
-    return _as_probability(value)
-
-
-def _require_stationary(params: ModelParams) -> None:
-    if params.gamma == 0.0 or params.delta == 0.0:
-        raise NoStationaryLimitError(
-            "no stationary limit: dynamics is oscillatory (gamma=0) or frozen (delta=0)"
-        )
-
-
-def _haar_average(replicas: Sequence[tuple[SpinState, WellLabel]]) -> float:
-    """Mean of prod_k (1 +- u.r_k)/2 over u uniform on the unit sphere.
-
-    r_k is the Bloch vector of replica k's initial state; the sign is + for
-    the left well.  The product is a polynomial of degree n in u.  The
-    trapezoid rule with 2n + 1 nodes in phi is exact on its Fourier modes and
-    leaves a polynomial of degree <= n in cos(theta), which Gauss-Legendre
-    with n//2 + 1 nodes integrates exactly.
-    """
-    n = len(replicas)
-    cos_t, weights = legendre.leggauss(n // 2 + 1)
+    n = len(bloch)
+    cos_t, weights = legendre.leggauss(n + 1)
     phi = 2.0 * np.pi * np.arange(2 * n + 1) / (2 * n + 1)
     sin_t = np.sqrt(1.0 - cos_t**2)[:, None]
     u = np.stack(np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t[:, None]))
-    product = np.ones(u.shape[1:])
-    for state, well in replicas:
-        sign = 1.0 if well is WellLabel.LEFT else -1.0
-        product *= 0.5 * (1.0 + sign * np.tensordot(_bloch(state), u, axes=1))
-    return float(weights @ product.sum(axis=1)) / (2.0 * len(phi))
+    product = np.prod(0.5 * (1.0 + np.tensordot(bloch, u, axes=1)), axis=0)
+    m = np.arange(-n, n + 1)
+    fourier = (weights[:, None] * (product @ np.cos(np.outer(phi - 0.5 * np.pi, m)))).T
+    theta = np.arccos(cos_t)
+    for ell in range(n + 1):
+        eigvals, vecs = np.linalg.eigh(1j * _turn(ell))
+        columns = ((vecs * vecs[ell].conj()) @ np.exp(-1j * np.outer(eigvals, theta))).real
+        coeff = (columns * fourier[n - ell : n + ell + 1]).sum(axis=1)
+        yield (2 * ell + 1) / (2.0 * len(phi)) * coeff, _block(ell, params)
+
+
+def _moment(replicas: list, params: ModelParams, t: float | None) -> float:
+    """<prod_k P(state_k -> well_k)> at t, or its stationary limit c_0 for t=None."""
+    _check_order(len(replicas), MAX_MOMENT_ORDER)
+    bloch = _signed_bloch(replicas)
+    if t is None:
+        if params.gamma == 0.0 or params.delta == 0.0:
+            raise NoStationaryLimitError(
+                "no stationary limit: dynamics is oscillatory (gamma=0) or frozen (delta=0)"
+            )
+        coeff, _ = next(_terms(bloch, params))
+        return _as_probability(coeff[0])
+    _check_time(t)
+    if t == 0.0:  # u = z-hat exactly
+        return _as_probability(float(np.prod(0.5 * (1.0 + bloch[:, 2]))))
+    terms = enumerate(_terms(bloch, params))
+    return _as_probability(sum(c @ _expm(block * t)[:, ell] for ell, (c, block) in terms))
+
+
+def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float:
+    """<P_L^n_left P_R^n_right> at time t, exact to rounding: a sum over l-blocks."""
+    _check_time(t)
+    return _moment(_spec_replicas(spec), params, t)
 
 
 def infinite_time_moment(spec: MomentSpec, params: ModelParams) -> float:
-    """Stationary limit of :func:`finite_time_moment`: the Haar average of its polynomial."""
-    _require_stationary(params)
-    _check_order(spec.n_pairs, MAX_MOMENT_ORDER)
-    state = spec.initial_state
-    replicas = [(state, WellLabel.LEFT)] * spec.n_left + [(state, WellLabel.RIGHT)] * spec.n_right
-    return _as_probability(_haar_average(replicas))
+    """Stationary limit of :func:`finite_time_moment`: the sphere average of its polynomial."""
+    return _moment(_spec_replicas(spec), params, None)
 
 
 def mixed_initial_moment(
@@ -265,18 +269,10 @@ def mixed_initial_moment(
 
     Generalizes MomentSpec to correlators that pair different initial states
     against the same noise, e.g. the cross term of an initial-state
-    sensitivity experiment.  t=None takes the stationary limit as a Haar
-    average, exact up to ``MAX_MOMENT_ORDER`` replicas; a finite t evolves the
-    dense 4^n generator, up to ``N_MAX`` replicas.
+    sensitivity experiment.  t=None takes the stationary limit.  Exact up to
+    ``MAX_MOMENT_ORDER`` replicas at any t.
     """
-    n = len(replicas)
-    if t is None:
-        _check_order(n, MAX_MOMENT_ORDER)
-        _require_stationary(params)
-        return _as_probability(_haar_average(replicas))
-    _check_order(n, N_MAX)
-    v0, sel = _pair_vectors(replicas)
-    return _as_probability(sel @ evolve(build_generator(n, params), v0, t))
+    return _moment(list(replicas), params, t)
 
 
 def _zero_cutoff(params: ModelParams) -> float:
@@ -286,7 +282,7 @@ def _zero_cutoff(params: ModelParams) -> float:
 def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
     """Decay rates actually present in the moment curve, slowest first.
 
-    Expands each term a_l bra @ exp(B_l t) e_l of :func:`finite_time_moment`
+    Expands each term c_l @ exp(B_l t) e_l of :func:`finite_time_moment`
     over the eigenmodes of B_l and keeps the rates (-Re mu) of modes whose
     weight is non-negligible, dropping modes that do not decay: the
     stationary mode, and at gamma = 0 the undamped rotations, whose
@@ -294,22 +290,24 @@ def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
     its rates once, so rates that the 4^n generator repeats across copies of
     the same l appear once here.
 
-    A weight counts as negligible against sum_l |a_l|, which bounds every
-    term at every t >= 0 (the bra has norm at most 1 and exp(B_l t) is a
-    contraction).  The summed mode weights are no such scale: near
-    gamma = 2 delta, where B_1 is defective, two nearly equal modes carry
-    large weights that cancel.
+    A weight counts as negligible against sum_l ||c_l||, which bounds every
+    term at every t >= 0: B_l + B_l^T = -2 gamma diag(m^2) <= 0, so
+    exp(B_l t) is a 2-norm contraction.  A term below that cut is skipped
+    whole, since the defective B_1 at gamma = 2 delta inflates a rounding
+    c_1 into weights above it; the summed mode weights are no scale for the
+    same reason, as two nearly equal modes carry large weights that cancel.
     """
     _check_order(spec.n_pairs, MAX_MOMENT_ORDER)
-    eigvals, weights, scale = [], [], 0.0
-    for ell, (coeff, bra, block) in enumerate(_legendre_terms(spec, params)):
+    terms = list(_terms(_signed_bloch(_spec_replicas(spec)), params))
+    cut = _REL_WEIGHT_TOL * sum(np.linalg.norm(coeff) for coeff, _ in terms)
+    rates = [np.zeros(0)]
+    for ell, (coeff, block) in enumerate(terms):
+        if np.linalg.norm(coeff) <= cut:
+            continue
         mu, modes = np.linalg.eig(block)
-        eigvals.append(mu)
-        weights.append(coeff * (bra @ modes) * np.linalg.solve(modes, np.eye(len(mu))[:, ell]))
-        scale += abs(coeff)
-    eigvals, weights = np.concatenate(eigvals), np.abs(np.concatenate(weights))
-    active = (weights > _REL_WEIGHT_TOL * scale) & (-eigvals.real > _zero_cutoff(params))
-    return np.sort(-eigvals[active].real)
+        weights = np.abs((coeff @ modes) * np.linalg.solve(modes, np.eye(len(mu))[:, ell]))
+        rates.append(-mu[(weights > cut) & (-mu.real > _zero_cutoff(params))].real)
+    return np.sort(np.concatenate(rates))
 
 
 def permutation_symmetry_defect(
@@ -325,10 +323,8 @@ def permutation_symmetry_defect(
     """
     if n == 0 and m == 0:
         return 0.0
-    spec_left = MomentSpec(SpinState.localized(WellLabel.LEFT), n_left=n, n_right=m)
-    spec_right = MomentSpec(SpinState.localized(WellLabel.RIGHT), n_left=n, n_right=m)
-    if t is None:
-        return abs(
-            infinite_time_moment(spec_left, params) - infinite_time_moment(spec_right, params)
-        )
-    return abs(finite_time_moment(spec_left, params, t) - finite_time_moment(spec_right, params, t))
+    left, right = (
+        _moment(_spec_replicas(MomentSpec(SpinState.localized(w), n, m)), params, t)
+        for w in (WellLabel.LEFT, WellLabel.RIGHT)
+    )
+    return abs(left - right)

@@ -16,14 +16,14 @@ rates.
 
 import numpy as np
 
-from replica_lab.model import ModelParams, WellLabel
-from replica_lab.replica import MomentSpec, _pair_vectors, _zero_cutoff, build_generator
+from replica_lab.model import ModelParams
+from replica_lab.replica import (
+    MomentSpec, _pair_vectors, _spec_replicas, _zero_cutoff, build_generator,
+)
 
 
 def _spec_vectors(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray]:
-    state = spec.initial_state
-    return _pair_vectors([(state, WellLabel.LEFT)] * spec.n_left
-                         + [(state, WellLabel.RIGHT)] * spec.n_right)
+    return _pair_vectors(_spec_replicas(spec))
 
 
 def _dense(spec: MomentSpec, params: ModelParams):

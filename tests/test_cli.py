@@ -141,6 +141,16 @@ class TestSense:
         assert payload["reference"] == pytest.approx(1 / 3, abs=1e-12)
         assert abs(payload["z_score"]) < 4.0
 
+    def test_short_horizon_judged_at_its_time(self, tmp_path):
+        # at t = 1 the stationary law 1/3 is far off; the reference at t is 0.19429
+        out = tmp_path / "run"
+        code = run_cli("sense", "--t-final", "1", "--trajectories", "2000", "--out-dir", str(out))
+        assert code == 0
+        payload = read_json(out / "sense.json")
+        assert payload["reference_at_t"] == pytest.approx(0.19429, abs=1e-5)
+        assert abs(payload["z_score_at_t"]) < 4.0
+        assert abs(payload["z_score"]) > 20.0
+
     def test_identical_states(self, tmp_path):
         out = tmp_path / "run"
         state = "0.70710678118654757,0,0.70710678118654757,0"
@@ -430,17 +440,16 @@ class TestImports:
         assert self._fresh_python(code) == "False"
 
     def test_simulator_and_stats_leave_scipy_out(self):
-        # only the replica engine's matrix exponential loads scipy.linalg
+        # numpy is the only runtime dependency: no call loads any scipy module
         code = textwrap.dedent("""
             import json, sys
             import replica_lab.cli
             from replica_lab.model import ModelParams, SpinState, WellLabel
-            from replica_lab.replica import MomentSpec, finite_time_moment
+            from replica_lab.replica import (
+                MomentSpec, finite_time_moment, mixed_initial_moment, moment_decay_rates,
+            )
             from replica_lab.simulate import SimConfig, run_ensemble, run_paired_ensemble
             from replica_lab.stats import SampleSet, cross_moment, histogram, ks_uniform, moments
-
-            def scipy_modules():
-                return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
             params = ModelParams(delta=1.0, gamma=1.0)
             cfg = SimConfig(params, dt=0.01, t_final=0.5, seed=3, n_trajectories=200)
@@ -451,12 +460,18 @@ class TestImports:
             cross_moment(samples, 1, 1)
             histogram(samples)
             ks_uniform(samples)
-            before = scipy_modules()
             value = finite_time_moment(MomentSpec(left, 2, 1), params, 0.7)
-            print(json.dumps({"before": before, "value": value, "linalg": "scipy.linalg" in sys.modules}))
+            pair = [(left, WellLabel.LEFT), (right, WellLabel.RIGHT)]
+            mixed = mixed_initial_moment(pair, params, 0.7)
+            moment_decay_rates(MomentSpec(left, 2, 1), params)
+            scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            print(json.dumps({"scipy": scipy, "value": value, "mixed": mixed}))
         """)
         report = json.loads(self._fresh_python(code))
-        assert report["before"] == []
+        assert report["scipy"] == []
+        params = ModelParams(delta=1.0, gamma=1.0)
         spec = MomentSpec(SpinState.localized(WellLabel.LEFT), 2, 1)
-        assert report["value"] == finite_time_moment(spec, ModelParams(delta=1.0, gamma=1.0), 0.7)
-        assert report["linalg"] is True
+        assert report["value"] == finite_time_moment(spec, params, 0.7)
+        # P(R -> R) = P(L -> L) in every realization
+        same = finite_time_moment(MomentSpec(spec.initial_state, 2, 0), params, 0.7)
+        assert report["mixed"] == pytest.approx(same, abs=1e-14)

@@ -17,14 +17,15 @@ from replica_lab.model import (
     laplace_p_ll_sq,
     relaxation_times,
 )
-from replica_lab import replica
+from replica_lab import cli, replica
 from replica_lab.replica import (
-    N_MAX,
     PAIR_JUMP,
     PAIR_XI,
     MomentSpec,
     NoStationaryLimitError,
     _block,
+    _expm,
+    _pair_vectors,
     build_generator,
     evolve,
     finite_time_moment,
@@ -488,15 +489,48 @@ class TestMixedInitialMoment:
             mixed_initial_moment([(LEFT, WellLabel.LEFT)], ModelParams(delta=1.0, gamma=0.0))
 
     def test_order_caps(self):
-        # the Haar quadrature is exact at any degree; the dense 4^n path stops at N_MAX
+        # the projection is exact at any degree, stationary and at finite t
         params = ModelParams(delta=1.0, gamma=1.0)
         left = [(LEFT, WellLabel.LEFT)]
         value = mixed_initial_moment(left * MAX_MOMENT_ORDER, params)
         assert value == pytest.approx(1.0 / (MAX_MOMENT_ORDER + 1), abs=1e-12)
+        finite = mixed_initial_moment(left * MAX_MOMENT_ORDER, params, t=1.0)
+        spec = MomentSpec(LEFT, MAX_MOMENT_ORDER, 0)
+        assert finite == pytest.approx(finite_time_moment(spec, params, 1.0), abs=1e-13)
         with pytest.raises(ValueError):
             mixed_initial_moment(left * (MAX_MOMENT_ORDER + 1), params)
         with pytest.raises(ValueError):
-            mixed_initial_moment(left * (N_MAX + 1), params, t=1.0)
+            mixed_initial_moment(left * (MAX_MOMENT_ORDER + 1), params, t=1.0)
+
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_finite_time_matches_dense_evolution(self, gamma):
+        params = ModelParams(delta=1.0, gamma=gamma)
+        rng = np.random.default_rng(53)
+        wells = (WellLabel.LEFT, WellLabel.RIGHT)
+        for order in range(1, 5):
+            gen = build_generator(order, params)
+            for _ in range(2):
+                replicas = [(_random_state(rng), wells[rng.integers(2)]) for _ in range(order)]
+                v0, sel = _pair_vectors(replicas)
+                for t in (0.1, 0.7, 3.0):
+                    dense = (sel @ evolve(gen, v0, t)).real
+                    value = mixed_initial_moment(replicas, params, t)
+                    assert value == pytest.approx(dense, abs=1e-12), (order, t)
+
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_finite_time_marginal_rule(self, gamma):
+        # <X P_B(L)> + <X P_B(R)> = <X>: replica B ends in one of the two wells
+        params = ModelParams(delta=1.0, gamma=gamma)
+        rng = np.random.default_rng(59)
+        wells = (WellLabel.LEFT, WellLabel.RIGHT)
+        for order in (7, MAX_MOMENT_ORDER):
+            head = [(_random_state(rng), wells[rng.integers(2)]) for _ in range(order - 1)]
+            state_b = _random_state(rng)
+            for t in (0.4, 2.5):
+                split = sum(
+                    mixed_initial_moment(head + [(state_b, well)], params, t) for well in wells
+                )
+                assert split == pytest.approx(mixed_initial_moment(head, params, t), abs=1e-12)
 
 
 class TestSpectrum:
@@ -610,13 +644,26 @@ class TestMomentDecayRates:
         rates = moment_decay_rates(MomentSpec(LEFT, 1, 1), ModelParams(delta=1.0, gamma=2.0))
         assert len(rates) == 3
 
-    def test_builds_no_dense_generator(self, monkeypatch):
+    def test_builds_no_dense_generator(self, monkeypatch, tmp_path):
+        # every production path runs on the l-blocks; the 4^n generator is a test oracle
         def refuse(*args, **kwargs):
-            raise AssertionError("moment_decay_rates built the 4^n generator")
+            raise AssertionError("a production path used the 4^n generator")
 
         monkeypatch.setattr(replica, "build_generator", refuse)
-        rates = moment_decay_rates(MomentSpec(LEFT, 2, 1), ModelParams(delta=1.0, gamma=2.0))
+        monkeypatch.setattr(replica, "evolve", refuse)
+        params = ModelParams(delta=1.0, gamma=2.0)
+        state = _random_state(np.random.default_rng(61))
+        rates = moment_decay_rates(MomentSpec(LEFT, 2, 1), params)
         assert np.all(rates > 0)
+        assert 0.0 <= finite_time_moment(MomentSpec(state, 3, 2), params, 0.7) <= 1.0
+        assert 0.0 <= infinite_time_moment(MomentSpec(state, 3, 2), params) <= 1.0
+        for order in (2, 5, MAX_MOMENT_ORDER):
+            replicas = [(state, WellLabel.LEFT), (LEFT, WellLabel.RIGHT)] * (order // 2)
+            for t in (0.7, None):
+                assert 0.0 <= mixed_initial_moment(replicas, params, t) <= 1.0
+        assert permutation_symmetry_defect(2, 1, params, t=0.7) > 0.0
+        assert permutation_symmetry_defect(2, 1, params) < 1e-9
+        assert cli.main(["moments", "--max-order", "4", "--out-dir", str(tmp_path / "run")]) == 0
 
 
 class TestPermutationSymmetry:
@@ -639,3 +686,20 @@ class TestPermutationSymmetry:
         # n != m; this pins the behavior rather than papering over it
         params = ModelParams(delta=1.0, gamma=1.0)
         assert permutation_symmetry_defect(2, 0, params, t=1.0) > 1e-2
+
+
+class TestExpm:
+    # 40-digit mpmath references: the rotation at gamma = 0, where scipy 1.17's
+    # real expm was 3.2e-14 off at delta t = 4; blocks of degree 3 and 20; and
+    # a strongly damped block, where squaring exp(A/2^s) itself was 1.1e-12 off
+    @pytest.mark.parametrize(
+        "ell,gamma,t",
+        [(1, 0.0, 4.0), (1, 0.0, 20.0), (3, 20.0, 20.0), (20, 0.05, 5.0), (20, 20.0, 0.5),
+         (10, 100.0, 1.0)],
+    )
+    def test_matches_mpmath(self, ell, gamma, t):
+        mpmath = pytest.importorskip("mpmath")
+        mat = _block(ell, ModelParams(delta=1.0, gamma=gamma)) * t
+        with mpmath.workdps(40):
+            exact = np.array(mpmath.expm(mpmath.matrix(mat.tolist())).tolist(), dtype=float)
+        assert np.max(np.abs(_expm(mat) - exact)) <= 1e-14
