@@ -316,7 +316,8 @@ def cmd_dist(cfg: argparse.Namespace) -> _Outcome:
     sim_cfg = _sim_config(cfg, (cfg.t_final,), MIN_MOMENT_SAMPLES)
     if cfg.bins < 2:
         raise CliError("bins must be >= 2")
-    ensemble = run_ensemble(sim_cfg, SpinState.localized(WellLabel.LEFT))
+    left = SpinState.localized(WellLabel.LEFT)
+    ensemble = run_ensemble(sim_cfg, left)
     samples = SampleSet(
         ensemble.final_p_left, provenance=f"seed={cfg.seed} dt={_fmt(cfg.dt)}"
     )
@@ -327,15 +328,26 @@ def cmd_dist(cfg: argparse.Namespace) -> _Outcome:
         [_fmt(hist.edges[i]), _fmt(hist.edges[i + 1]), int(hist.counts[i]), _fmt(hist.densities[i])]
         for i in range(cfg.bins)
     ]
+
+    def entry(report) -> dict:
+        # reference and z_score are stationary; the _at_t pair is exact at t_simulated
+        reference_at_t = finite_time_moment(MomentSpec(left, *report.order), cfg.params,
+                                            sim_cfg.t_simulated)
+        return report.__dict__ | {
+            "order": list(report.order),
+            "reference_at_t": reference_at_t,
+            "z_score_at_t": _z_score(report.sample_moment, reference_at_t, report.standard_error),
+        }
+
     reports = moments(samples, max_order=_DIST_MOMENT_ORDER)
     crosses = [cross_moment(samples, 1, 1), cross_moment(samples, 2, 1)]
     payload = {
         "n_samples": samples.size,
         "t_final": cfg.t_final,
         "t_simulated": sim_cfg.t_simulated,
-        "ks": {"statistic": stat, "p_value": p_value},
-        "moments": [report.__dict__ | {"order": list(report.order)} for report in reports],
-        "cross_moments": [report.__dict__ | {"order": list(report.order)} for report in crosses],
+        "ks": {"statistic": stat, "p_value": p_value, "law": "stationary Uniform(0, 1)"},
+        "moments": [entry(report) for report in reports],
+        "cross_moments": [entry(report) for report in crosses],
         "max_norm_drift": ensemble.max_norm_drift,
     }
     files = {

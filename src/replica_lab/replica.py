@@ -197,6 +197,20 @@ def _block(ell: int, params: ModelParams) -> np.ndarray:
     return params.delta * _turn(ell) - params.gamma * np.diag(m**2)
 
 
+def _even_sector(ell: int) -> np.ndarray:
+    """Orthonormal columns |0>, (|m> + (-1)^m |-m>)/sqrt(2), m = 1..ell, on |ell, m>, m = -ell..ell.
+
+    They span the +1 eigenspace of the reflection P|m> = (-1)^m |-m>, which
+    commutes with every block and fixes |ell, 0>.
+    """
+    q = np.zeros((2 * ell + 1, ell + 1))
+    q[ell, 0] = 1.0
+    m = np.arange(1, ell + 1)
+    q[ell + m, m] = math.sqrt(0.5)
+    q[ell - m, m] = (-1.0) ** m * math.sqrt(0.5)
+    return q
+
+
 def _spec_replicas(spec: MomentSpec) -> list[tuple[SpinState, WellLabel]]:
     state = spec.initial_state
     return [(state, WellLabel.LEFT)] * spec.n_left + [(state, WellLabel.RIGHT)] * spec.n_right
@@ -290,6 +304,13 @@ def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
     its rates once, so rates that the 4^n generator repeats across copies of
     the same l appear once here.
 
+    The reflection P|m> = (-1)^m |-m> commutes with B_l and fixes e_l, so
+    exp(B_l t) e_l stays in P's even sector and only its l + 1 modes carry
+    weight; only that sector is diagonalized.  At strong noise the full
+    block's +-m pairs split below rounding, and an eigensolver would return
+    an arbitrary mix of their even and odd modes, whose weights straddle the
+    cut by chance.
+
     A weight counts as negligible against sum_l ||c_l||, which bounds every
     term at every t >= 0: B_l + B_l^T = -2 gamma diag(m^2) <= 0, so
     exp(B_l t) is a 2-norm contraction.  A term below that cut is skipped
@@ -304,8 +325,10 @@ def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
     for ell, (coeff, block) in enumerate(terms):
         if np.linalg.norm(coeff) <= cut:
             continue
-        mu, modes = np.linalg.eig(block)
-        weights = np.abs((coeff @ modes) * np.linalg.solve(modes, np.eye(len(mu))[:, ell]))
+        even = _even_sector(ell)
+        mu, modes = np.linalg.eig(even.T @ block @ even)
+        # e_l is the sector's first basis vector
+        weights = np.abs((coeff @ even @ modes) * np.linalg.solve(modes, np.eye(len(mu))[:, 0]))
         rates.append(-mu[(weights > cut) & (-mu.real > _zero_cutoff(params))].real)
     return np.sort(np.concatenate(rates))
 

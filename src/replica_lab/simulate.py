@@ -15,19 +15,23 @@ mean dynamics.
 One block kernel (``_advance``) steps every run: ensembles, paired runs,
 single trajectories and ``step``.  It merges the closing half rotation of a
 step with the opening half of the next and splits them only where the state
-must be whole (records, the pulse, the last step); it evaluates the kick
-rotations in bulk tables and updates the state with in-place ufuncs.
-``SpinState`` appears only at the API boundary.  A block's working memory is
-bounded whatever the run length: each stream hands over a chunk of 1024
-draws, which turns step-major one slab of at most 256 steps at a time, and
-the members of a paired block share one table of kick rotations; a block of
-1024 trajectories needs about 11 MB beyond its state and records.
+must be whole (records, the pulse, the last step).  A block keeps its Bloch
+vectors trajectory-major, one (x, y, z) row each, so that x + iy and y + iz
+are two complex views of the same memory: the kick rotation of (x, y) by
+alpha is one complex multiply of the first by e^{i alpha}, a tunneling
+rotation of (y, z) by beta one multiply of the second by e^{i beta}.  The
+kick factors come from bulk tables.  ``SpinState`` appears only at the API
+boundary.  A block's working memory is bounded whatever the run length: each
+stream hands over a chunk of 1024 draws, which turns step-major one slab of
+at most 256 steps at a time, and the members of a paired block share one
+table of kick factors; a block of 1024 trajectories needs about 12 MB beyond
+its state and records.
 
 Noise streams are counter-based: trajectory i draws standard normals from
 Philox keyed by (seed, i).  A trajectory's k-th draw is a pure function of
 (seed, trajectory_id, k), independent of scheduling, block size, or worker
-count, which makes runs bit-reproducible and lets paired runs consume the
-identical field realization (common random numbers).
+count, which makes runs bit-reproducible on a host and lets paired runs
+consume the identical field realization (common random numbers).
 
 Trajectories are embarrassingly parallel; ensembles run in fixed blocks of
 1024 trajectories, vectorized across the block, and blocks may be dispatched
@@ -50,12 +54,14 @@ from .model import ModelParams, SpinState, _bloch
 
 BLOCK_TRAJECTORIES = 1024
 # Working memory of one block, whatever its number of steps: about
-# _STEP_CHUNK + _SLAB_STEPS + (3 + 3 * members) * _TRIG_STEPS doubles per
-# trajectory (11 MB at 1024 trajectories), on top of the block's state and
-# records and whatever the process running it holds.
+# _STEP_CHUNK + _SLAB_STEPS + (4 + 4 * members) * _TRIG_STEPS doubles per
+# trajectory (12 MB at 1024 trajectories): the draw chunk, the slab, the
+# complex kick table and its two real temporaries, and the state path of a
+# table with its norm_sq, on top of the block's state and records and
+# whatever the process running it holds.
 _STEP_CHUNK = 1024  # draws per stream per call, trajectory-major
 _SLAB_STEPS = 256  # steps per step-major slab of kick half-angles
-_TRIG_STEPS = 16  # steps per bulk table of kick cosines and sines
+_TRIG_STEPS = 16  # steps per bulk table of kick factors
 _TRANSPOSE_STRIP = 64  # trajectories per strip when the draws turn step-major
 
 _DRIFT_BUDGET_PER_STEP = 1e-12
@@ -126,10 +132,11 @@ class PulseSpec:
     """Instantaneous relative-phase pulse: (a, b) -> (e^{i phi} a, e^{-i phi} b) at t0.
 
     On the Bloch vector this is a rotation of (x, y) by 2*phi, since a b*
-    picks up e^{2i phi}; the simulator rotates by 2*fmod(phi, pi), the same
-    rotation.  It is exact where it must be: on a localized state x = y = 0,
-    and c*0 - s*0 is exactly 0, so the pulse is a bit-exact no-op; phi = 0 or
-    +-pi gives an angle of exactly 0, cosine 1 and sine 0, again a no-op.
+    picks up e^{2i phi}; the simulator multiplies x + iy by
+    e^{2i fmod(phi, pi)}, the same rotation.  It is exact where it must be:
+    on a localized state x + iy = 0, and any factor times 0 is 0, so the
+    pulse is a bit-exact no-op; phi = 0 or +-pi gives the factor 1 + 0i
+    exactly, again a no-op.
     ``TrajectoryResult.final_state`` carries no phase of its own (its larger
     amplitude is real), so it equals the map above up to a global phase.
 
@@ -239,11 +246,14 @@ def _spin_state(r: np.ndarray) -> SpinState:
 class _StateBlock:
     """Bloch vectors of one trajectory block, one column each, plus records and pulse.
 
-    ``r`` is one (3, members * n) array.  The members of a pair sit side by
-    side: column ``k * n + i`` is trajectory i of member k, and every member
-    of trajectory i consumes trajectory i's noise.  The pulse acts on the
-    last member (run B of a pair) at step boundary ``pulse_boundary``, which
-    ``_pulse_boundary`` resolves.
+    ``s`` is one trajectory-major (members * n, 3) array, so x, y and z of a
+    column are adjacent; ``r = s.T`` is its (3, members * n) view, column by
+    column, and ``w`` and ``u`` are its complex views x + iy and y + iz, at
+    byte offsets 0 and 8 with a stride of three doubles.  The members of a
+    pair sit side by side: column ``k * n + i`` is trajectory i of member k,
+    and every member of trajectory i consumes trajectory i's noise.  The
+    pulse acts on the last member (run B of a pair) at step boundary
+    ``pulse_boundary``, which ``_pulse_boundary`` resolves.
     """
 
     def __init__(
@@ -255,14 +265,18 @@ class _StateBlock:
         pulse_boundary: int = -1,
     ):
         self.n = n
-        self.r = np.repeat(np.stack([_bloch(s) for s in initials], axis=1), n, axis=1)
+        self.s = np.repeat(np.stack([_bloch(s) for s in initials]), n, axis=0)
+        self.r = self.s.T
+        width = len(self.s)
+        self.w, self.u = (
+            np.ndarray((width,), complex, self.s, offset, (self.s.strides[0],)) for offset in (0, 8)
+        )
         self.record_steps = record_steps
         self.pulse_boundary = pulse_boundary
         # rotation of (x, y) by 2 phi.  fmod is exact: phi = +-pi gives an
         # angle of exactly 0, and |phi| < pi is left unchanged.
         angle = 2.0 * math.fmod(pulse.delta_phi, math.pi) if pulse else 0.0
-        self.pulse_rotation = (math.cos(angle), math.sin(angle))
-        width = self.r.shape[1]
+        self.pulse_factor = _unit(angle)
         self.p_rec = np.empty((width, len(record_steps)))
         self.coh_rec = np.empty((width, len(record_steps)), dtype=complex)
         self.drift = 0.0
@@ -275,10 +289,8 @@ class _StateBlock:
 
     def at_boundary(self, boundary: int) -> None:
         if self.pulse_boundary == boundary:
-            # on a localized state x = y = 0, so the rotation leaves it exactly unchanged
-            cols = slice(self.r.shape[1] - self.n, None)
-            _rotate(self.r[0, cols], self.r[1, cols], *self.pulse_rotation,
-                    np.empty(self.n), np.empty(self.n))
+            # on a localized state x + iy = 0, so the turn leaves it exactly unchanged
+            _turn(self.w[-self.n :], self.pulse_factor, np.empty(self.n, complex))
         while self._ptr < len(self.record_steps) and self.record_steps[self._ptr] == boundary:
             self.p_rec[:, self._ptr] = self.p_left()
             self.coh_rec[:, self._ptr].real = 0.5 * self.r[0]
@@ -289,12 +301,14 @@ class _StateBlock:
         """P_left = (1 + z)/2 of every column."""
         return 0.5 * (1.0 + self.r[2])
 
-    def norm_drift(self, path: np.ndarray) -> None:
-        """Fold max | |r|^2 - 1 | over a (steps, 3, width) path into ``drift``; clobbers path."""
+    def norm_drift(self, path: np.ndarray, norm_sq: np.ndarray) -> None:
+        """Fold max | |r|^2 - 1 | over a (steps, width, 3) path into ``drift``.
+
+        Clobbers path, and norm_sq, a (steps, width) scratch array.
+        """
         np.multiply(path, path, out=path)
-        norm_sq = path[:, 0]
-        np.add(norm_sq, path[:, 1], out=norm_sq)
-        np.add(norm_sq, path[:, 2], out=norm_sq)
+        np.add(path[..., 0], path[..., 1], out=norm_sq)
+        np.add(norm_sq, path[..., 2], out=norm_sq)
         # max |v - 1| is max(max v - 1, 1 - min v): rounding is monotone
         self.drift = max(self.drift, float(norm_sq.max()) - 1.0, 1.0 - float(norm_sq.min()))
 
@@ -332,31 +346,40 @@ def _kick_slabs(streams: Sequence, n_steps: int, kick: float) -> Iterator[np.nda
             yield angles
 
 
-def _kick_table(t: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray, denom: np.ndarray) -> None:
-    """Cosines and sines of the kick angles 2*kick*g from slab rows t of half-angles; clobbers t.
+def _kick_table(t: np.ndarray, kicks: np.ndarray, t_sq: np.ndarray, denom: np.ndarray) -> None:
+    """Kick factors e^{2i kick g} from slab rows t of half-angles kick*g; clobbers t.
 
     With t = tan(kick*g), cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2): one
     vectorized tan costs less than a cos and a sin, and the pair has unit
-    norm to rounding for any t.  Every array is a contiguous (steps, n)
-    block, so every block width runs the same tan loop.
+    norm to rounding for any t.  The two divides write the real and the
+    imaginary parts of the complex (steps, n) table ``kicks``; every other
+    array is a contiguous real (steps, n) block, so every block width runs
+    the same tan loop.
     """
     np.tan(t, out=t)
-    np.multiply(t, t, out=cos_t)
-    np.add(cos_t, 1.0, out=denom)
-    np.subtract(1.0, cos_t, out=cos_t)
-    np.divide(cos_t, denom, out=cos_t)
-    np.add(t, t, out=sin_t)
-    np.divide(sin_t, denom, out=sin_t)
+    np.multiply(t, t, out=t_sq)
+    np.add(t_sq, 1.0, out=denom)
+    np.subtract(1.0, t_sq, out=t_sq)
+    np.divide(t_sq, denom, out=kicks.real)
+    np.add(t, t, out=t)
+    np.divide(t, denom, out=kicks.imag)
 
 
-def _rotate(u: np.ndarray, v: np.ndarray, c, s, p: np.ndarray, q: np.ndarray) -> None:
-    """(u, v) <- (c u - s v, s u + c v) in place; c and s are scalars or rows, p and q scratch."""
-    np.multiply(v, s, out=q)
-    np.multiply(u, s, out=p)
-    np.multiply(u, c, out=u)
-    np.subtract(u, q, out=u)
-    np.multiply(v, c, out=v)
-    np.add(v, p, out=v)
+def _unit(angle: float) -> np.complex128:
+    """e^{i angle} as cos + i sin: exactly 1 + 0i at angle 0."""
+    return np.complex128(complex(math.cos(angle), math.sin(angle)))
+
+
+def _turn(view: np.ndarray, factor, scratch: np.ndarray) -> None:
+    """view <- factor * view: a complex scalar, or a kick row that broadcasts over members.
+
+    The product goes through the contiguous ``scratch`` and is copied back,
+    never in place: numpy's in-place multiply on the strided view takes a
+    plain loop for one element and a fused multiply-add loop for more, so
+    its results would depend on the block width.
+    """
+    np.multiply(view, factor, out=scratch)
+    view[...] = scratch
 
 
 def _advance(
@@ -365,31 +388,33 @@ def _advance(
     """March a block through n_steps Strang steps; stream i feeds column i of every member.
 
     One step is a tunneling rotation of (y, z) by delta*dt/2, a kick rotation
-    of (x, y) by 2*kick*g, and another half rotation.  The closing half of a
-    step and the opening half of the next merge into one full rotation; the
+    of (x, y) by 2*kick*g, and another half rotation, each one ``_turn`` of
+    the block's complex view y + iz or x + iy.  The closing half of a step
+    and the opening half of the next merge into one full rotation; the
     halves stay apart only around a stop (record, pulse, last step).  Kick
-    rotations come from a bulk table of _TRIG_STEPS steps, one (n,) row per
-    step that broadcasts over the members; each update is an in-place ufunc
-    on a row of ``block.r``, and the state after every step is kept for a
-    bulk norm check at the end of the table.
+    factors come from a bulk table of _TRIG_STEPS steps, one (n,) row per
+    step that broadcasts over the members, and the state after every step is
+    kept for a bulk norm check at the end of the table.
     """
     block.at_boundary(0)
     if n_steps == 0:
         return
     n = len(streams)
     half, full = 0.5 * params.delta * dt, params.delta * dt
-    c_half, s_half = math.cos(half), math.sin(half)
-    c_full, s_full = math.cos(full), math.sin(full)
+    f_half, f_full = _unit(half), _unit(full)
     kick = math.sqrt(0.5 * params.gamma * dt)
 
-    # a view with one row per member, so that one (n,) kick row broadcasts
+    # views with one row per member, so that one (n,) kick row broadcasts
     # over them; one member stays 1-d, where numpy's loops are faster
-    members = block.r.shape[1] // n
-    x, y, z = block.r.reshape(3, members, n) if members > 1 else block.r
-    p, q = np.empty_like(x), np.empty_like(x)
+    width = len(block.s)
+    shape = (width // n, n) if width > n else (width,)
+    w, u = block.w.reshape(shape), block.u.reshape(shape)
+    scratch = np.empty(shape, complex)
     rows = min(_TRIG_STEPS, n_steps)
-    cos_t, sin_t, denom = (np.empty((rows, n)) for _ in range(3))
-    path = np.empty((rows,) + block.r.shape)  # the state after each step of the table
+    kicks = np.empty((rows, n), complex)
+    t_sq, denom = np.empty((rows, n)), np.empty((rows, n))
+    path = np.empty((rows,) + block.s.shape)  # the state after each step of the table
+    norm_sq = np.empty((rows, width))
     stops = iter(block.stops(n_steps))
     stop = next(stops)
     whole = True  # the state sits on a step boundary: open with a half rotation
@@ -398,21 +423,21 @@ def _advance(
     for angles in _kick_slabs(streams, n_steps, kick):
         for lo in range(0, len(angles), rows):
             m = min(rows, len(angles) - lo)
-            _kick_table(angles[lo : lo + m], cos_t[:m], sin_t[:m], denom[:m])
+            _kick_table(angles[lo : lo + m], kicks[:m], t_sq[:m], denom[:m])
             for j in range(m):
                 if whole:
-                    _rotate(y, z, c_half, s_half, p, q)
-                _rotate(x, y, cos_t[j], sin_t[j], p, q)
+                    _turn(u, f_half, scratch)
+                _turn(w, kicks[j], scratch)
                 k += 1
                 whole = k == stop
                 if whole:
-                    _rotate(y, z, c_half, s_half, p, q)
+                    _turn(u, f_half, scratch)
                     block.at_boundary(k)
                     stop = next(stops, -1)
                 else:
-                    _rotate(y, z, c_full, s_full, p, q)
-                path[j] = block.r
-            block.norm_drift(path[:m])
+                    _turn(u, f_full, scratch)
+                path[j] = block.s
+            block.norm_drift(path[:m], norm_sq[:m])
 
 
 def _check_drift(drift: float, n_steps: int) -> float:

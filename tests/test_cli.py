@@ -14,7 +14,7 @@ import pytest
 
 import replica_lab
 from replica_lab.cli import _build_parser, main
-from replica_lab.model import ModelParams, SpinState, WellLabel
+from replica_lab.model import ModelParams, SpinState, WellLabel, closed_form_p_ll
 from replica_lab.replica import MomentSpec, finite_time_moment
 
 
@@ -131,6 +131,24 @@ class TestDist:
         with open(out / "histogram.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 10
+
+    def test_short_horizon_judged_at_its_time(self, tmp_path):
+        # at t = 1 from the left well the uniform law is far off; every moment
+        # report must sit near its exact value at t_simulated (default seed)
+        out = tmp_path / "run"
+        code = run_cli("dist", "--t-final", "1", "--trajectories", "2000", "--out-dir", str(out))
+        assert code == 0
+        payload = read_json(out / "dist.json")
+        assert payload["ks"]["law"] == "stationary Uniform(0, 1)"
+        params = ModelParams(delta=1.0, gamma=1.0)
+        t = payload["t_simulated"]
+        entries = payload["moments"] + payload["cross_moments"]
+        assert len(entries) == 8
+        for entry in entries:
+            assert abs(entry["z_score_at_t"]) <= 4.0, entry
+        first = payload["moments"][0]
+        assert first["reference_at_t"] == pytest.approx(closed_form_p_ll(params, t), abs=1e-12)
+        assert abs(first["z_score"]) > 20.0
 
 
 class TestSense:

@@ -638,6 +638,33 @@ class TestMomentDecayRates:
                 rates = moment_decay_rates(MomentSpec(initial, n_left, n_right), params)
                 assert rates.shape == (0,), (delta, n_left, n_right, rates)
 
+    @pytest.mark.parametrize("gamma", [20.0, 100.0])
+    def test_strong_noise_rates_are_even_sector_and_stable(self, gamma):
+        # at strong noise a block's +-m pairs split below rounding; only the
+        # modes even under P|m> = (-1)^m |-m> carry weight, so every rate is
+        # an even-sector eigenvalue and the count does not move when gamma
+        # moves by 1e-12.  Seeds 1004..1008 were fixed before any run.
+        params = ModelParams(delta=1.0, gamma=gamma)
+        nudged = ModelParams(delta=1.0, gamma=gamma * (1.0 + 1e-12))
+        even_rates = {}
+        for ell in range(1, 9):
+            m = np.arange(-ell, ell + 1)
+            reflection = np.zeros((len(m), len(m)))
+            reflection[ell - m, ell + m] = (-1.0) ** m
+            sign, vecs = np.linalg.eigh(reflection)
+            even = vecs[:, sign > 0]
+            even_rates[ell] = -np.linalg.eigvals(even.T @ _block(ell, params) @ even).real
+        for order in range(4, 9):
+            rng = np.random.default_rng(1000 + order)
+            for _ in range(3):
+                state = _random_state(rng)
+                for n_left in range(order + 1):
+                    spec = MomentSpec(state, n_left, order - n_left)
+                    rates = moment_decay_rates(spec, params)
+                    assert len(rates) == len(moment_decay_rates(spec, nudged))
+                    pool = np.concatenate([even_rates[ell] for ell in range(1, order + 1)])
+                    assert all(np.min(np.abs(pool - r)) <= 1e-9 * gamma for r in rates)
+
     def test_critical_point_rates_not_duplicated(self):
         # the 4^n generator repeats each block's rates once per copy of l;
         # the blocks give each rate once

@@ -385,6 +385,33 @@ class TestBlochKernel:
             traj = run_trajectory(cfg, NoiseStream(67, i), RANDOM, pulse)
             assert ens.final_p_left[i] == traj.final_p_left
 
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_turn_is_bit_identical_across_widths(self, members):
+        # every column of a 1024-wide turn must equal the same turn on a block
+        # of width 1, for a kick row broadcast over the members, the scalar
+        # tunneling factors and the pulse factor, on both complex views
+        n = 1024
+        rng = np.random.default_rng(97)
+        start = rng.standard_normal((members * n, 3))
+        start /= np.linalg.norm(start, axis=1, keepdims=True)
+        kicks = np.empty((1, n), complex)
+        sim._kick_table(0.1 * rng.standard_normal((1, n)), kicks, np.empty((1, n)), np.empty((1, n)))
+        pulse = sim._StateBlock(1, [PLUS], np.empty(0, dtype=int), PulseSpec(0.7, 0.0))
+        factors = [kicks[0], np.complex128(complex(math.cos(0.3), math.sin(0.3))),
+                   pulse.pulse_factor]
+        shape = (members, n) if members > 1 else (n,)
+        for view in ("w", "u"):
+            for factor in factors:
+                wide = sim._StateBlock(n, [PLUS] * members, np.empty(0, dtype=int))
+                wide.s[...] = start
+                sim._turn(getattr(wide, view).reshape(shape), factor, np.empty(shape, complex))
+                for col in range(members * n):
+                    one = sim._StateBlock(1, [PLUS], np.empty(0, dtype=int))
+                    one.s[...] = start[col]
+                    own = factor[col % n : col % n + 1] if np.ndim(factor) else factor
+                    sim._turn(getattr(one, view), own, np.empty(1, complex))
+                    assert np.array_equal(one.s[0], wide.s[col]), (view, col)
+
     def test_working_memory_does_not_grow_with_run_length(self):
         # one block of 1024 trajectories x 3000 steps: draws held for the
         # whole block took 25.8 MiB here, the chunk and slab about 12.2 MiB
