@@ -24,13 +24,10 @@ from .model import (
 from .replica import (
     MomentSpec,
     NoStationaryLimitError,
-    build_generator,
-    evolve,
     finite_time_moment,
     infinite_time_moment,
     mixed_initial_moment,
     moment_decay_rates,
-    pair_initial_vector,
     permutation_symmetry_defect,
 )
 from .simulate import (

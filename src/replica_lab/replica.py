@@ -35,20 +35,8 @@ trapezoid (2n + 1) grid integrates the degree-2n integrand exactly.
     is inverted or diagonalized, so the critical point gamma = 2 delta,
     where B_1 is defective, needs no special care.
 
-The dense path-pair generator is the paper's object.  Propagating n (ket, bra)
-path pairs jointly turns the noise average into a linear ODE on the
-4^n-dimensional tensor space of pair states, with generator
-
-  * a diagonal dephasing part, -gamma * (sum of per-pair ket-bra separations)^2,
-  * an off-diagonal tunneling part, (i*delta/2) times the Kronecker sum of the
-    single-pair jump matrix ``PAIR_JUMP``.
-
-No production path builds it: it serves only the tests, as the oracle of the
-blocks.
-
-Pair-state ordering is fixed as (ket, bra) = (L,L), (L,R), (R,L), (R,R) with
-indices 0..3 and ket-bra separations 0, -1, +1, 0.  Multi-pair indices are
-little-endian base 4: pair 0 is the least significant digit.
+The dense path-pair generator, the paper's object, is the tests' oracle of the
+blocks in :mod:`replica_lab.dense`; no production path builds it.
 """
 
 from __future__ import annotations
@@ -62,10 +50,6 @@ from numpy.polynomial import legendre
 
 from .model import MAX_MOMENT_ORDER, ModelParams, SpinState, WellLabel, _bloch, _check_time
 
-# Largest replica count of the dense generator, the tests' oracle; dim
-# 4^6 = 4096 keeps dense linear algebra workable.
-N_MAX = 6
-
 # Eigenvalues with |mu| below this times max(gamma, delta) count as the
 # stationary (zero) eigenspace; modes whose rate -Re mu does not exceed it do
 # not decay.
@@ -77,14 +61,6 @@ _REL_WEIGHT_TOL = 1e-9
 
 _REAL_TOL = 1e-9
 
-# ket-bra separation per pair state, in units of the well spacing.
-PAIR_XI = np.array([0.0, -1.0, 1.0, 0.0])
-
-# Single-pair tunneling connectivity: entry (target, source) is +1 when the
-# ket path hops, -1 when the bra path hops (the conjugate amplitude flips the
-# sign); symmetric, rows sum to 0.
-PAIR_JUMP = np.array([[0, -1, 1, 0], [-1, 0, 0, 1], [1, 0, 0, -1], [0, 1, -1, 0]])
-
 
 class NoStationaryLimitError(ValueError):
     """Raised when the dynamics has no unique stationary value (gamma or delta zero)."""
@@ -93,18 +69,6 @@ class NoStationaryLimitError(ValueError):
 def _check_order(n: int, cap: int) -> None:
     if not 1 <= n <= cap:
         raise ValueError(f"replica count must be in 1..{cap}, got {n}")
-
-
-def build_generator(n: int, params: ModelParams) -> np.ndarray:
-    """The complex 4^n generator: dephasing diagonal plus tunneling Kronecker sum."""
-    _check_order(n, N_MAX)
-    xi, jump = np.zeros(1), np.zeros((1, 1), dtype=int)
-    for _ in range(n):  # the new pair is the most significant digit
-        jump = np.kron(np.eye(4, dtype=int), jump) + np.kron(PAIR_JUMP, np.eye(len(xi), dtype=int))
-        xi = np.add.outer(PAIR_XI, xi).ravel()
-    gen = 0.5j * params.delta * jump
-    gen[np.diag_indices_from(gen)] += -params.gamma * xi**2
-    return gen
 
 
 def _expm(mat: np.ndarray) -> np.ndarray:
@@ -128,17 +92,6 @@ def _expm(mat: np.ndarray) -> np.ndarray:
     return eye + dev
 
 
-def evolve(gen: np.ndarray, v0: np.ndarray, t: float) -> np.ndarray:
-    """Propagate a coefficient vector: exp(G t) @ v0."""
-    v0 = np.asarray(v0, dtype=complex)
-    if v0.shape != (len(gen),):
-        raise ValueError(f"vector has shape {v0.shape}, generator dim is {len(gen)}")
-    _check_time(t)
-    if t == 0.0:
-        return v0.copy()
-    return _expm(gen * t) @ v0
-
-
 @dataclass(frozen=True)
 class MomentSpec:
     """Which moment to extract: initial state plus per-replica final wells."""
@@ -156,21 +109,6 @@ class MomentSpec:
     @property
     def n_pairs(self) -> int:
         return self.n_left + self.n_right
-
-
-def pair_initial_vector(state: SpinState) -> np.ndarray:
-    """Single-pair initial coefficients (|a|^2, a b*, a* b, |b|^2)."""
-    a, b = complex(state.amp_left), complex(state.amp_right)
-    return np.array([abs(a) ** 2, a * b.conjugate(), a.conjugate() * b, abs(b) ** 2])
-
-
-def _pair_vectors(replicas: Sequence[tuple[SpinState, WellLabel]]) -> tuple[np.ndarray, np.ndarray]:
-    """Initial vector and final-well selector of the replicas on the 4^n pair space."""
-    v0, sel = np.ones(1), np.ones(1)
-    for state, well in reversed(replicas):  # replica k is pair k, k = 0 least significant
-        v0 = np.kron(v0, pair_initial_vector(state))
-        sel = np.kron(sel, np.eye(4)[0 if well is WellLabel.LEFT else 3])
-    return v0, sel
 
 
 def _as_probability(value: complex) -> float:
@@ -218,6 +156,9 @@ def _spec_replicas(spec: MomentSpec) -> list[tuple[SpinState, WellLabel]]:
 
 def _signed_bloch(replicas: Sequence[tuple[SpinState, WellLabel]]) -> np.ndarray:
     """(n, 3) rows +-r_k: replica k's Bloch vector, negated for the right well."""
+    for k, (_, well) in enumerate(replicas):
+        if not isinstance(well, WellLabel):
+            raise ValueError(f"replica {k}: well must be a WellLabel, got {well!r}")
     return np.array([_bloch(s) * (1.0 if w is WellLabel.LEFT else -1.0) for s, w in replicas])
 
 
@@ -301,7 +242,7 @@ def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
     weight is non-negligible, dropping modes that do not decay: the
     stationary mode, and at gamma = 0 the undamped rotations, whose
     eigenvalues are imaginary up to rounding.  Each block contributes each of
-    its rates once, so rates that the 4^n generator repeats across copies of
+    its rates once, so rates that the dense generator repeats across copies of
     the same l appear once here.
 
     The reflection P|m> = (-1)^m |-m> commutes with B_l and fixes e_l, so
@@ -351,3 +292,7 @@ def permutation_symmetry_defect(
         for w in (WellLabel.LEFT, WellLabel.RIGHT)
     )
     return abs(left - right)
+
+
+# Tests and perfbench's tracer use these names here; bound last, as dense imports from here.
+from .dense import build_generator, evolve, pair_initial_vector  # noqa: E402,F401

@@ -94,11 +94,7 @@ class SimConfig:
                 raise ValueError(f"dt={self.dt} exceeds 0.01*min(1/delta, 1/gamma)={cap}")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
-        if not 0 <= self.seed < 2**64:
-            # the Philox key holds 64 bits; a wider seed would alias another one
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        _check_key_word("seed", self.seed)
         if self.record_grid is not None:
             times = tuple(float(t) for t in self.record_grid)
             if any(not math.isfinite(t) or t < 0 or t > self.t_final * (1 + 1e-12) for t in times):
@@ -155,8 +151,10 @@ class PulseSpec:
             raise ValueError("t0 must be finite and >= 0")
 
 
-def _philox_key(seed: int, trajectory_id: int) -> np.ndarray:
-    return np.array([seed & 0xFFFFFFFFFFFFFFFF, trajectory_id], dtype=np.uint64)
+def _check_key_word(name: str, value: int) -> None:
+    # a Philox key word holds 64 bits; a value outside [0, 2**64) would alias another one
+    if not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
 @dataclass
@@ -172,8 +170,10 @@ class NoiseStream:
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        bitgen = np.random.Philox(key=_philox_key(self.seed, self.trajectory_id))
-        self._gen = np.random.Generator(bitgen)
+        _check_key_word("seed", self.seed)
+        _check_key_word("trajectory_id", self.trajectory_id)
+        key = np.array([self.seed, self.trajectory_id], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def normals(self, count: int) -> np.ndarray:
         return self._gen.standard_normal(count)

@@ -17,9 +17,8 @@ rates.
 import numpy as np
 
 from replica_lab.model import ModelParams
-from replica_lab.replica import (
-    MomentSpec, _pair_vectors, _spec_replicas, _zero_cutoff, build_generator,
-)
+from replica_lab.dense import _pair_vectors, build_generator
+from replica_lab.replica import MomentSpec, _spec_replicas, _zero_cutoff
 
 
 def _spec_vectors(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray]:

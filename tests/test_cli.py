@@ -457,6 +457,19 @@ class TestImports:
         code = "import sys, replica_lab.cli; print('scipy.special' in sys.modules)"
         assert self._fresh_python(code) == "False"
 
+    @pytest.mark.parametrize("first,second", [("dense", "replica"), ("replica", "dense")])
+    def test_dense_and_replica_load_in_either_order(self, first, second):
+        # replica binds the oracle names from dense at its end; dense imports from replica
+        code = textwrap.dedent(f"""
+            import sys
+            import replica_lab.{first}, replica_lab.{second}
+            from replica_lab.dense import build_generator
+            from replica_lab.replica import build_generator as bound
+            assert bound is build_generator
+            print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """)
+        assert self._fresh_python(code) == "[]"
+
     def test_simulator_and_stats_leave_scipy_out(self):
         # numpy is the only runtime dependency: no call loads any scipy module
         code = textwrap.dedent("""

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from dense_oracles import _spec_vectors, eig_moment, resolvent_moment, spectrum
+from scipy.optimize import linear_sum_assignment
 
 from replica_lab.model import (
     MAX_MOMENT_ORDER,
@@ -17,15 +18,13 @@ from replica_lab.model import (
     laplace_p_ll_sq,
     relaxation_times,
 )
-from replica_lab import cli, replica
+from replica_lab import cli, dense, replica
+from replica_lab.dense import PAIR_JUMP, PAIR_XI, _pair_vectors
 from replica_lab.replica import (
-    PAIR_JUMP,
-    PAIR_XI,
     MomentSpec,
     NoStationaryLimitError,
     _block,
     _expm,
-    _pair_vectors,
     build_generator,
     evolve,
     finite_time_moment,
@@ -502,6 +501,14 @@ class TestMixedInitialMoment:
         with pytest.raises(ValueError):
             mixed_initial_moment(left * (MAX_MOMENT_ORDER + 1), params, t=1.0)
 
+    @pytest.mark.parametrize("well", ["left", None])
+    def test_malformed_well_refused(self, well):
+        # anything but a WellLabel used to count as the right well
+        replicas = [(LEFT, WellLabel.LEFT), (LEFT, well)]
+        for t in (0.0, 1.0, None):
+            with pytest.raises(ValueError, match="replica 1"):
+                mixed_initial_moment(replicas, ModelParams(delta=1.0, gamma=1.0), t)
+
     @pytest.mark.parametrize("gamma", RATIOS)
     def test_finite_time_matches_dense_evolution(self, gamma):
         params = ModelParams(delta=1.0, gamma=gamma)
@@ -568,6 +575,26 @@ class TestSpectrum:
         assert all(min(abs(r - e) / e for e in fast_refs) < 0.05 for r in fast)
         for ref in slow_refs + fast_refs:
             assert any(abs(r - ref) / ref < 0.05 for r in nonzero)
+
+    @pytest.mark.parametrize("gamma,max_order", [(0.05, 4), (1.0, 5), (2.0, 4), (20.0, 4)])
+    def test_schur_weyl_spectrum(self, gamma, max_order):
+        # (l=0 + l=1)^(x)n, the n-pair space, holds degree l with multiplicity
+        # C(2n, n-l) - C(2n, n-l-1), so the dense spectrum is the block spectra
+        # repeated that often.  Pairing by assignment, not by sorting, keeps
+        # near-degenerate complex eigenvalues matched.
+        params = ModelParams(delta=1.0, gamma=gamma)
+        for n in range(1, max_order + 1):
+            full = np.linalg.eigvals(build_generator(n, params))
+            # the top degree l = n occurs once
+            mult = [math.comb(2 * n, n - ell) - math.comb(2 * n, n - ell - 1) for ell in range(n)] + [1]
+            blocks = np.concatenate(
+                [np.repeat(np.linalg.eigvals(_block(ell, params)), k) for ell, k in enumerate(mult)]
+            )
+            assert len(blocks) == 4**n
+            rows, cols = linear_sum_assignment(np.abs(full[:, None] - blocks[None, :]))
+            gap = np.max(np.abs(full[rows] - blocks[cols]))
+            # the defective B_1 at gamma = 2 delta splits by sqrt(eps)
+            assert gap < (1e-7 if gamma == 2.0 else 1e-12 * np.max(np.abs(full))), (n, gap)
 
 
 class TestMomentDecayRates:
@@ -676,8 +703,9 @@ class TestMomentDecayRates:
         def refuse(*args, **kwargs):
             raise AssertionError("a production path used the 4^n generator")
 
-        monkeypatch.setattr(replica, "build_generator", refuse)
-        monkeypatch.setattr(replica, "evolve", refuse)
+        for module in (replica, dense):
+            monkeypatch.setattr(module, "build_generator", refuse)
+            monkeypatch.setattr(module, "evolve", refuse)
         params = ModelParams(delta=1.0, gamma=2.0)
         state = _random_state(np.random.default_rng(61))
         rates = moment_decay_rates(MomentSpec(LEFT, 2, 1), params)

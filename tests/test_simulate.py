@@ -173,8 +173,14 @@ class TestNoiseStream:
         assert not np.array_equal(base, NoiseStream(123, 8).normals(64))
         assert not np.array_equal(base, NoiseStream(124, 7).normals(64))
 
-    def test_negative_seed_allowed(self):
-        NoiseStream(-5, 0).normals(4)
+    @pytest.mark.parametrize(
+        "seed,trajectory_id,name",
+        [(-1, 0, "seed"), (2**64, 0, "seed"), (2**64 + 3, 0, "seed"), (3, -1, "trajectory_id")],
+    )
+    def test_key_outside_64_bits_refused(self, seed, trajectory_id, name):
+        # masking to 64 bits made -5 draw the stream of 2**64 - 5, and 2**64 + 3 that of 3
+        with pytest.raises(ValueError, match=name):
+            NoiseStream(seed, trajectory_id)
 
 
 class TestRunTrajectory:
