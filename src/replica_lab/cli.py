@@ -59,7 +59,9 @@ from .replica import (
     permutation_symmetry_defect,
 )
 from .simulate import PulseSpec, SimConfig, run_ensemble, run_paired_ensemble
-from .stats import MIN_MOMENT_SAMPLES, SampleSet, cross_moment, histogram, ks_uniform, moments
+from .stats import (
+    MIN_MOMENT_SAMPLES, SampleSet, cross_moment, histogram, ks_uniform, moments, z_score,
+)
 
 _DECAY_GRID_POINTS = 201
 _DIST_MOMENT_ORDER = 6
@@ -190,8 +192,21 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     return cfg
 
 
+def _finite(value):
+    """value with each non-finite float, at any depth of dicts and lists, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    """Strict JSON: a non-finite float (an infinite z-score) is written as null."""
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
+    return (text + "\n").encode()
 
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
@@ -256,9 +271,7 @@ def cmd_decay(cfg: argparse.Namespace) -> _Outcome:
     spec = MomentSpec(left, 1, 0)
     worst = 0.0
     rows = []
-    # grid points closer than dt snap to the same step boundary: one row each
-    times, first = np.unique(ensemble.times, return_index=True)
-    for t, i in zip(times, first):
+    for i, t in enumerate(ensemble.times):  # distinct: grid points on one boundary give one row
         closed = closed_form_p_ll(params, float(t))
         replica = finite_time_moment(spec, params, float(t))
         offdiag = closed_form_offdiag(params, float(t))
@@ -336,7 +349,7 @@ def cmd_dist(cfg: argparse.Namespace) -> _Outcome:
         return report.__dict__ | {
             "order": list(report.order),
             "reference_at_t": reference_at_t,
-            "z_score_at_t": _z_score(report.sample_moment, reference_at_t, report.standard_error),
+            "z_score_at_t": z_score(report.sample_moment, reference_at_t, report.standard_error),
         }
 
     reports = moments(samples, max_order=_DIST_MOMENT_ORDER)
@@ -357,10 +370,6 @@ def cmd_dist(cfg: argparse.Namespace) -> _Outcome:
     return files, f"KS p={p_value:.4g}", None
 
 
-def _z_score(mean: float, reference: float, se: float) -> float:
-    return (mean - reference) / se if se > 0 else 0.0
-
-
 def cmd_sense(cfg: argparse.Namespace) -> _Outcome:
     state_a = _state_from(cfg.state_a)
     state_b = _state_from(cfg.state_b)
@@ -378,8 +387,8 @@ def cmd_sense(cfg: argparse.Namespace) -> _Outcome:
     )
     reference_at_t = pa2 + pb2 - 2.0 * pab
     se = paired.se_sq_diff
-    z = _z_score(paired.mean_sq_diff, reference, se)
-    z_at_t = _z_score(paired.mean_sq_diff, reference_at_t, se)
+    z = z_score(paired.mean_sq_diff, reference, se)
+    z_at_t = z_score(paired.mean_sq_diff, reference_at_t, se)
     payload = {
         "mean_sq_diff": paired.mean_sq_diff,
         "standard_error": se,
@@ -398,14 +407,12 @@ def cmd_pulse(cfg: argparse.Namespace) -> _Outcome:
     initial = _state_from(cfg.state_a)
     pulse = PulseSpec(delta_phi=cfg.phi, t0=cfg.t0)
     sim_cfg = _sim_config(cfg, (cfg.t_final,))
-    # the pulse boundary and the worker count are checked before any block runs
+    t0_snapped = sim_cfg.boundary(cfg.t0) * cfg.dt
     paired = run_paired_ensemble(sim_cfg, initial, initial, pulse_on_b=pulse)
-
-    t0_snapped = round(cfg.t0 / cfg.dt) * cfg.dt
     factor = finite_time_moment(MomentSpec(initial, 1, 1), cfg.params, t0_snapped)
     predicted = factor * 4.0 * math.sin(cfg.phi) ** 2 / 3.0
     se = paired.se_sq_diff
-    z = _z_score(paired.mean_sq_diff, predicted, se)
+    z = z_score(paired.mean_sq_diff, predicted, se)
     payload = {
         "mean_sq_diff": paired.mean_sq_diff,
         "standard_error": se,

@@ -51,6 +51,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .model import ModelParams, SpinState, _bloch
+from .stats import mean_se
 
 BLOCK_TRAJECTORIES = 1024
 # Working memory of one block, whatever its number of steps: about
@@ -97,8 +98,8 @@ class SimConfig:
         _check_key_word("seed", self.seed)
         if self.record_grid is not None:
             times = tuple(float(t) for t in self.record_grid)
-            if any(not math.isfinite(t) or t < 0 or t > self.t_final * (1 + 1e-12) for t in times):
-                raise ValueError("record_grid times must lie in [0, t_final]")
+            for t in times:
+                self.boundary(t)
             object.__setattr__(self, "record_grid", times)
 
     @property
@@ -110,13 +111,16 @@ class SimConfig:
         """n_steps * dt, the horizon actually simulated: not t_final when dt does not divide it."""
         return self.n_steps * self.dt
 
+    def boundary(self, t: float) -> int:
+        """The step boundary nearest time t, at most n_steps; rejects t outside [0, t_final]."""
+        if not 0 <= t <= self.t_final * (1 + 1e-12):
+            raise ValueError(f"time {t} outside [0, t_final={self.t_final}]")
+        return min(int(round(t / self.dt)), self.n_steps)
+
     def record_steps(self) -> np.ndarray:
-        """Record boundaries: requested grid snapped to step boundaries, sorted."""
-        if self.record_grid is None:
-            times = np.linspace(0.0, self.t_final, 21)
-        else:
-            times = np.sort(np.asarray(self.record_grid, dtype=float))
-        return np.clip(np.rint(times / self.dt).astype(int), 0, self.n_steps)
+        """Record boundaries: the distinct step boundaries of the requested grid, sorted."""
+        grid = np.linspace(0.0, self.t_final, 21) if self.record_grid is None else self.record_grid
+        return np.array(sorted({self.boundary(t) for t in grid}), dtype=int)
 
     def record_times(self) -> np.ndarray:
         """Actual sample times (snapped boundaries times dt)."""
@@ -152,8 +156,9 @@ class PulseSpec:
 
 
 def _check_key_word(name: str, value: int) -> None:
-    # a Philox key word holds 64 bits; a value outside [0, 2**64) would alias another one
-    if not isinstance(value, int) or not 0 <= value < 2**64:
+    # a Philox key word holds 64 bits; a value outside [0, 2**64) would alias another
+    # one, and a bool is an int that would draw the stream of 0 or 1
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
@@ -190,15 +195,10 @@ class TrajectoryResult:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Ensemble summaries plus per-trajectory final probabilities and provenance."""
+    """Ensemble summaries plus per-trajectory final probabilities."""
 
     params: ModelParams
-    dt: float
-    t_final: float
-    seed: int
     n_trajectories: int
-    initial: tuple[complex, complex]
-    pulse: Optional[PulseSpec]
     times: np.ndarray
     mean_p_left: np.ndarray
     se_p_left: np.ndarray
@@ -209,7 +209,6 @@ class EnsembleResult:
     se_offdiag_im: np.ndarray
     final_p_left: np.ndarray
     max_norm_drift: float
-    n_steps: int
 
 
 @dataclass(frozen=True)
@@ -217,13 +216,7 @@ class PairedEnsembleResult:
     """Common-random-number pair of runs and the law of their final difference."""
 
     params: ModelParams
-    dt: float
-    t_final: float
-    seed: int
     n_trajectories: int
-    initial_a: tuple[complex, complex]
-    initial_b: tuple[complex, complex]
-    pulse_on_b: Optional[PulseSpec]
     final_p_a: np.ndarray
     final_p_b: np.ndarray
     diff_final: np.ndarray
@@ -291,7 +284,7 @@ class _StateBlock:
         if self.pulse_boundary == boundary:
             # on a localized state x + iy = 0, so the turn leaves it exactly unchanged
             _turn(self.w[-self.n :], self.pulse_factor, np.empty(self.n, complex))
-        while self._ptr < len(self.record_steps) and self.record_steps[self._ptr] == boundary:
+        if self._ptr < len(self.record_steps) and self.record_steps[self._ptr] == boundary:
             self.p_rec[:, self._ptr] = self.p_left()
             self.coh_rec[:, self._ptr].real = 0.5 * self.r[0]
             self.coh_rec[:, self._ptr].imag = 0.5 * self.r[1]
@@ -315,11 +308,7 @@ class _StateBlock:
 
 def _pulse_boundary(pulse: Optional[PulseSpec], cfg: SimConfig) -> int:
     """The step boundary nearest pulse.t0, or -1 without a pulse; rejects t0 past t_final."""
-    if pulse is None:
-        return -1
-    if pulse.t0 > cfg.t_final * (1 + 1e-12):
-        raise ValueError(f"pulse t0={pulse.t0} outside [0, t_final={cfg.t_final}]")
-    return int(np.clip(round(pulse.t0 / cfg.dt), 0, cfg.n_steps))
+    return -1 if pulse is None else cfg.boundary(pulse.t0)
 
 
 def _kick_slabs(streams: Sequence, n_steps: int, kick: float) -> Iterator[np.ndarray]:
@@ -568,7 +557,10 @@ def _run_blocks(
     return sums, finals, drift
 
 
-def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _sums_mean_se(
+    total: np.ndarray, total_sq: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of n samples from their sum and sum of squares."""
     mean = total / n
     if n < 2:
         return mean, np.zeros_like(mean)
@@ -590,19 +582,14 @@ def run_ensemble(
     """
     n = cfg.n_trajectories
     sums, finals, drift = _run_blocks(cfg, [initial], cfg.record_steps(), pulse, workers)
-    mean_p, se_p = _mean_se(sums["p"], sums["p_sq"], n)
-    mean_p_sq, se_p_sq = _mean_se(sums["p_sq"], sums["p_4"], n)
-    _, se_re = _mean_se(sums["coh"].real, sums["coh_re_sq"], n)
-    _, se_im = _mean_se(sums["coh"].imag, sums["coh_im_sq"], n)
+    mean_p, se_p = _sums_mean_se(sums["p"], sums["p_sq"], n)
+    mean_p_sq, se_p_sq = _sums_mean_se(sums["p_sq"], sums["p_4"], n)
+    _, se_re = _sums_mean_se(sums["coh"].real, sums["coh_re_sq"], n)
+    _, se_im = _sums_mean_se(sums["coh"].imag, sums["coh_im_sq"], n)
 
     return EnsembleResult(
         params=cfg.params,
-        dt=cfg.dt,
-        t_final=cfg.t_final,
-        seed=cfg.seed,
         n_trajectories=n,
-        initial=(complex(initial.amp_left), complex(initial.amp_right)),
-        pulse=pulse,
         times=cfg.record_times(),
         mean_p_left=mean_p,
         se_p_left=se_p,
@@ -613,7 +600,6 @@ def run_ensemble(
         se_offdiag_im=se_im,
         final_p_left=finals[0],
         max_norm_drift=drift,
-        n_steps=cfg.n_steps,
     )
 
 
@@ -630,23 +616,14 @@ def run_paired_ensemble(
     the initial-state change (or of the pulse applied to run B) from the
     shared field fluctuations.
     """
-    n = cfg.n_trajectories
     _, (final_a, final_b), drift = _run_blocks(
         cfg, [initial_a, initial_b], np.empty(0, dtype=int), pulse_on_b, workers
     )
     diff = final_a - final_b
-    sq = diff**2
-    mean_sq = float(sq.mean())
-    se_sq = float(sq.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    mean_sq, se_sq = mean_se(diff**2)
     return PairedEnsembleResult(
         params=cfg.params,
-        dt=cfg.dt,
-        t_final=cfg.t_final,
-        seed=cfg.seed,
-        n_trajectories=n,
-        initial_a=(complex(initial_a.amp_left), complex(initial_a.amp_right)),
-        initial_b=(complex(initial_b.amp_left), complex(initial_b.amp_right)),
-        pulse_on_b=pulse_on_b,
+        n_trajectories=cfg.n_trajectories,
         final_p_a=final_a,
         final_p_b=final_b,
         diff_final=diff,

@@ -53,14 +53,18 @@ class MomentReport:
     z_score: float
 
 
-def _report(xs: np.ndarray, order: tuple[int, int], reference: float) -> MomentReport:
+def mean_se(xs: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error, sd(ddof=1)/sqrt(n); 0 for one sample."""
     mean = float(xs.mean())
     se = float(xs.std(ddof=1) / math.sqrt(xs.size)) if xs.size > 1 else 0.0
+    return mean, se
+
+
+def z_score(mean: float, reference: float, se: float) -> float:
+    """(mean - reference)/se; at se = 0, 0 if mean equals reference, else +-inf."""
     if se > 0:
-        z = (mean - reference) / se
-    else:
-        z = 0.0 if mean == reference else math.inf * math.copysign(1.0, mean - reference)
-    return MomentReport(order, mean, se, reference, z)
+        return (mean - reference) / se
+    return 0.0 if mean == reference else math.copysign(math.inf, mean - reference)
 
 
 def moments(samples: SampleSet, max_order: int) -> list[MomentReport]:
@@ -77,8 +81,8 @@ def cross_moment(samples: SampleSet, n: int, m: int) -> MomentReport:
         return MomentReport((0, 0), 1.0, 0.0, reference, 0.0)
     if samples.size < MIN_MOMENT_SAMPLES:
         raise ValueError(f"need >= {MIN_MOMENT_SAMPLES} samples for moment reports, got {samples.size}")
-    xs = samples.values**n * (1.0 - samples.values) ** m
-    return _report(xs, (n, m), reference)
+    mean, se = mean_se(samples.values**n * (1.0 - samples.values) ** m)
+    return MomentReport((n, m), mean, se, reference, z_score(mean, reference, se))
 
 
 @dataclass(frozen=True)

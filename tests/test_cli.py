@@ -22,8 +22,20 @@ def run_cli(*args) -> int:
     return main(list(args))
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def read_json(path):
-    return json.loads(path.read_text())
+    # strict: NaN, Infinity and -Infinity are refused
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+def assert_null_where_undefined(entry, values):
+    """At standard error 0, a z field is null where its values differ and 0 where they agree."""
+    assert entry["standard_error"] == 0.0
+    for field, (mean, reference) in values.items():
+        assert entry[field] == (0.0 if entry[mean] == entry[reference] else None), field
 
 
 class TestDecay:
@@ -150,6 +162,23 @@ class TestDist:
         assert first["reference_at_t"] == pytest.approx(closed_form_p_ll(params, t), abs=1e-12)
         assert abs(first["z_score"]) > 20.0
 
+    def test_zero_standard_error_writes_null_z(self, tmp_path):
+        # without noise every trajectory is the same: some reports have se = 0
+        out = tmp_path / "run"
+        code = run_cli("dist", "--gamma", "0", "--t-final", "1", "--trajectories", "200",
+                       "--out-dir", str(out))
+        assert code == 0
+        payload = read_json(out / "dist.json")
+        exact = [e for e in payload["moments"] + payload["cross_moments"]
+                 if e["standard_error"] == 0.0]
+        assert exact
+        for entry in exact:
+            assert_null_where_undefined(entry, {
+                "z_score": ("sample_moment", "reference"),
+                "z_score_at_t": ("sample_moment", "reference_at_t"),
+            })
+        assert any(entry["z_score_at_t"] is None for entry in exact)
+
 
 class TestSense:
     def test_default_orthogonal_pair(self, tmp_path):
@@ -211,6 +240,20 @@ class TestPulse:
         payload = read_json(out / "pulse.json")
         assert payload["predicted"] > 0.0
         assert abs(payload["z_score"]) < 4.0
+
+    def test_zero_standard_error_writes_null_z(self, tmp_path):
+        # phi = pi is an exact no-op, so every difference is 0, while the
+        # prediction rounds to 4.6e-33: the z-score is undefined, not 0
+        out = tmp_path / "run"
+        code = run_cli(
+            "pulse", "--state-a", "0.6,0,0.8,0", "--phi", str(math.pi), "--t-final", "1",
+            "--trajectories", "100", "--out-dir", str(out),
+        )
+        assert code == 0
+        payload = read_json(out / "pulse.json")
+        assert payload["mean_sq_diff"] == 0.0
+        assert payload["predicted"] > 0.0
+        assert_null_where_undefined(payload, {"z_score": ("mean_sq_diff", "predicted")})
 
 
 class TestHorizon:

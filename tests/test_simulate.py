@@ -105,6 +105,17 @@ class TestSimConfig:
             record_grid=(0.0, 0.503, 1.0),
         )
         assert np.allclose(cfg.record_times(), [0.0, 0.5, 1.0])
+        # 0.0 and 0.004 snap to boundary 0: each boundary is recorded once
+        cfg = SimConfig(
+            params=params, dt=0.01, t_final=1.0, seed=1, n_trajectories=3,
+            record_grid=(0.0, 0.004, 0.006, 0.503, 1.0),
+        )
+        assert cfg.record_steps().tolist() == [0, 1, 50, 100]
+        ensemble = run_ensemble(cfg, LEFT, workers=1)
+        assert len(ensemble.times) == len(ensemble.mean_p_left) == 4
+        for t in (-0.1, 1.01 * cfg.t_final, math.nan, math.inf):
+            with pytest.raises(ValueError, match="outside"):
+                cfg.boundary(t)
 
 
 class TestStep:
@@ -175,10 +186,15 @@ class TestNoiseStream:
 
     @pytest.mark.parametrize(
         "seed,trajectory_id,name",
-        [(-1, 0, "seed"), (2**64, 0, "seed"), (2**64 + 3, 0, "seed"), (3, -1, "trajectory_id")],
+        [
+            (-1, 0, "seed"), (2**64, 0, "seed"), (2**64 + 3, 0, "seed"), (3, -1, "trajectory_id"),
+            (True, 0, "seed"), (False, 0, "seed"), (3, True, "trajectory_id"),
+            (3, False, "trajectory_id"),
+        ],
     )
     def test_key_outside_64_bits_refused(self, seed, trajectory_id, name):
-        # masking to 64 bits made -5 draw the stream of 2**64 - 5, and 2**64 + 3 that of 3
+        # masking to 64 bits made -5 draw the stream of 2**64 - 5, and 2**64 + 3 that of 3;
+        # a bool is an int, so True drew the stream of seed 1
         with pytest.raises(ValueError, match=name):
             NoiseStream(seed, trajectory_id)
 

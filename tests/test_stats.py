@@ -10,7 +10,9 @@ from replica_lab.stats import (
     cross_moment,
     histogram,
     ks_uniform,
+    mean_se,
     moments,
+    z_score,
 )
 from replica_lab.stats import _kolmogorov_sf
 
@@ -39,6 +41,15 @@ class TestSampleSet:
 
 
 class TestMoments:
+    def test_one_judge(self):
+        xs = np.array([0.1, 0.4, 0.4, 0.9])
+        assert mean_se(xs) == (xs.mean(), xs.std(ddof=1) / 2.0)
+        assert mean_se(np.array([0.3])) == (0.3, 0.0)
+        assert z_score(0.5, 0.25, 0.5) == 0.5
+        # at se = 0: 0 where the values agree, signed inf where they differ
+        assert z_score(0.25, 0.25, 0.0) == 0.0
+        assert z_score(0.0, 4.6e-33, 0.0) == -math.inf
+
     def test_constant_samples_report_mismatch(self):
         samples = SampleSet(np.ones(200))
         reports = moments(samples, max_order=3)
