@@ -46,6 +46,7 @@ from .model import (
     ModelParams,
     SpinState,
     WellLabel,
+    _check_int,
     closed_form_offdiag,
     closed_form_p_ll,
     beta_cross_moment,
@@ -288,8 +289,7 @@ def cmd_decay(cfg: argparse.Namespace) -> _Outcome:
 
 
 def cmd_moments(cfg: argparse.Namespace) -> _Outcome:
-    if not 1 <= cfg.max_order <= MAX_MOMENT_ORDER:
-        raise CliError(f"max-order must be in 1..{MAX_MOMENT_ORDER}")
+    _check_int("max-order", cfg.max_order, 1, MAX_MOMENT_ORDER)
     params = cfg.params
     initial = SpinState.localized(WellLabel.LEFT)
     orders = [(n, 0) for n in range(1, cfg.max_order + 1)]
@@ -327,13 +327,10 @@ def cmd_moments(cfg: argparse.Namespace) -> _Outcome:
 
 def cmd_dist(cfg: argparse.Namespace) -> _Outcome:
     sim_cfg = _sim_config(cfg, (cfg.t_final,), MIN_MOMENT_SAMPLES)
-    if cfg.bins < 2:
-        raise CliError("bins must be >= 2")
+    _check_int("bins", cfg.bins, 2)
     left = SpinState.localized(WellLabel.LEFT)
     ensemble = run_ensemble(sim_cfg, left)
-    samples = SampleSet(
-        ensemble.final_p_left, provenance=f"seed={cfg.seed} dt={_fmt(cfg.dt)}"
-    )
+    samples = SampleSet(ensemble.final_p_left)
     hist = histogram(samples, bins=cfg.bins)
     stat, p_value = ks_uniform(samples)
 

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelParams, SpinState, WellLabel, _check_time
-from .replica import _check_order, _expm
+from .model import ModelParams, SpinState, WellLabel, _check_int, _check_real
+from .replica import _expm
 
 # Largest replica count; dim 4^6 = 4096 keeps dense linear algebra workable.
 N_MAX = 6
@@ -38,7 +38,7 @@ PAIR_JUMP = np.array([[0, -1, 1, 0], [-1, 0, 0, 1], [1, 0, 0, -1], [0, 1, -1, 0]
 
 def build_generator(n: int, params: ModelParams) -> np.ndarray:
     """The complex 4^n generator: dephasing diagonal plus tunneling Kronecker sum."""
-    _check_order(n, N_MAX)
+    _check_int("replica count", n, 1, N_MAX)
     xi, jump = np.zeros(1), np.zeros((1, 1), dtype=int)
     for _ in range(n):  # the new pair is the most significant digit
         jump = np.kron(np.eye(4, dtype=int), jump) + np.kron(PAIR_JUMP, np.eye(len(xi), dtype=int))
@@ -53,7 +53,7 @@ def evolve(gen: np.ndarray, v0: np.ndarray, t: float) -> np.ndarray:
     v0 = np.asarray(v0, dtype=complex)
     if v0.shape != (len(gen),):
         raise ValueError(f"vector has shape {v0.shape}, generator dim is {len(gen)}")
-    _check_time(t)
+    _check_real("time", t, 0)
     if t == 0.0:
         return v0.copy()
     return _expm(gen * t) @ v0

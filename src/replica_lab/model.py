@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -39,6 +40,20 @@ _REALNESS_TOL = 1e-12
 # Highest moment order: the factorial guard of the exact rational moments and
 # the order cap of the replica engine's MomentSpec moments and of the CLI.
 MAX_MOMENT_ORDER = 20
+
+
+def _check_int(name: str, value: int, lo: int, hi: float = math.inf) -> None:
+    """The one count rule: an integer in [lo, hi], numpy's too, but never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        bounds = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def _check_real(name: str, value: float, lo: float = -math.inf, strict: bool = False) -> None:
+    """The one real rule: finite and >= lo, or > lo when strict."""
+    if not (math.isfinite(value) and (value > lo if strict else value >= lo)):
+        bound = "" if lo == -math.inf else f" and {'>' if strict else '>='} {lo}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
 class WellLabel(Enum):
@@ -71,12 +86,8 @@ class ModelParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        for name in ("delta", "gamma"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        _check_real("delta", self.delta, 0)
+        _check_real("gamma", self.gamma, 0)
 
     @property
     def discriminant(self) -> float:
@@ -143,16 +154,6 @@ def _bloch(state: SpinState) -> np.ndarray:
     return np.array([coh.real, coh.imag, (a.real**2 + a.imag**2) - (b.real**2 + b.imag**2)])
 
 
-def _check_time(t: float) -> None:
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
-
-
-def _check_rate(lam: float) -> None:
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"Laplace variable must be finite and > 0, got {lam!r}")
-
-
 def closed_form_p_ll(params: ModelParams, t: float) -> float:
     """Noise-averaged probability of staying in the left well.
 
@@ -162,7 +163,7 @@ def closed_form_p_ll(params: ModelParams, t: float) -> float:
     replaced by its analytic limit 1/2 + exp(-gamma t/2)(1/2 + gamma t/4).
     The result must be real to 1e-12 (asserted) and is then clamped to [0, 1].
     """
-    _check_time(t)
+    _check_real("time", t, 0)
     if t == 0.0:
         return 1.0
     gamma = params.gamma
@@ -186,7 +187,7 @@ def closed_form_offdiag(params: ModelParams, t: float) -> complex:
     overflows in the strongly overdamped regime; critical limit handled as in
     :func:`closed_form_p_ll`.  Zero at t = 0 and as t -> infinity (gamma > 0).
     """
-    _check_time(t)
+    _check_real("time", t, 0)
     gamma, delta = params.gamma, params.delta
     if classify_branch(params) is Branch.CRITICAL:
         return -0.5j * delta * t * math.exp(-0.5 * gamma * t)
@@ -198,7 +199,7 @@ def closed_form_offdiag(params: ModelParams, t: float) -> complex:
 
 def laplace_p_ll(params: ModelParams, lam: float) -> float:
     """Laplace transform of the averaged left-well survival probability."""
-    _check_rate(lam)
+    _check_real("Laplace variable", lam, 0, strict=True)
     gamma, delta = params.gamma, params.delta
     numer = 2.0 * lam**2 + 2.0 * lam * gamma + delta**2
     denom = lam**2 + gamma * lam + delta**2
@@ -211,7 +212,7 @@ def laplace_p_ll_sq(params: ModelParams, lam: float) -> float:
     Three-term rational function; its residue at the origin is 1/3, the
     stationary value of the squared probability.
     """
-    _check_rate(lam)
+    _check_real("Laplace variable", lam, 0, strict=True)
     gamma, delta = params.gamma, params.delta
     term1 = 1.0 / (3.0 * lam)
     term2 = (gamma + lam) / (2.0 * (delta**2 + gamma * lam + lam**2))
@@ -226,12 +227,9 @@ def beta_cross_moment(n: int, m: int) -> Fraction:
     This is the moment of P^n (1-P)^m for P uniform on (0, 1), the
     stationary law of the left-well probability.
     """
-    if not (isinstance(n, int) and isinstance(m, int)):
-        raise ValueError("moment orders must be integers")
-    if n < 0 or m < 0:
-        raise ValueError(f"moment orders must be >= 0, got n={n}, m={m}")
-    if n + m > MAX_MOMENT_ORDER:
-        raise ValueError(f"n + m must be <= {MAX_MOMENT_ORDER}, got {n + m}")
+    _check_int("n", n, 0)
+    _check_int("m", m, 0)
+    _check_int("n + m", n + m, 0, MAX_MOMENT_ORDER)
     return Fraction(math.factorial(n) * math.factorial(m), math.factorial(n + m + 1))
 
 

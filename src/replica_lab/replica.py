@@ -48,7 +48,9 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import legendre
 
-from .model import MAX_MOMENT_ORDER, ModelParams, SpinState, WellLabel, _bloch, _check_time
+from .model import (
+    MAX_MOMENT_ORDER, ModelParams, SpinState, WellLabel, _bloch, _check_int, _check_real,
+)
 
 # Eigenvalues with |mu| below this times max(gamma, delta) count as the
 # stationary (zero) eigenspace; modes whose rate -Re mu does not exceed it do
@@ -64,11 +66,6 @@ _REAL_TOL = 1e-9
 
 class NoStationaryLimitError(ValueError):
     """Raised when the dynamics has no unique stationary value (gamma or delta zero)."""
-
-
-def _check_order(n: int, cap: int) -> None:
-    if not 1 <= n <= cap:
-        raise ValueError(f"replica count must be in 1..{cap}, got {n}")
 
 
 def _expm(mat: np.ndarray) -> np.ndarray:
@@ -101,10 +98,9 @@ class MomentSpec:
     n_right: int
 
     def __post_init__(self) -> None:
-        if self.n_left < 0 or self.n_right < 0:
-            raise ValueError("replica counts must be >= 0")
-        if self.n_pairs < 1:
-            raise ValueError("need at least one replica")
+        _check_int("n_left", self.n_left, 0)
+        _check_int("n_right", self.n_right, 0)
+        _check_int("replica count", self.n_pairs, 1)
 
     @property
     def n_pairs(self) -> int:
@@ -188,7 +184,7 @@ def _terms(bloch: np.ndarray, params: ModelParams):
 
 def _moment(replicas: list, params: ModelParams, t: float | None) -> float:
     """<prod_k P(state_k -> well_k)> at t, or its stationary limit c_0 for t=None."""
-    _check_order(len(replicas), MAX_MOMENT_ORDER)
+    _check_int("replica count", len(replicas), 1, MAX_MOMENT_ORDER)
     bloch = _signed_bloch(replicas)
     if t is None:
         if params.gamma == 0.0 or params.delta == 0.0:
@@ -197,7 +193,7 @@ def _moment(replicas: list, params: ModelParams, t: float | None) -> float:
             )
         coeff, _ = next(_terms(bloch, params))
         return _as_probability(coeff[0])
-    _check_time(t)
+    _check_real("time", t, 0)
     if t == 0.0:  # u = z-hat exactly
         return _as_probability(float(np.prod(0.5 * (1.0 + bloch[:, 2]))))
     terms = enumerate(_terms(bloch, params))
@@ -206,7 +202,7 @@ def _moment(replicas: list, params: ModelParams, t: float | None) -> float:
 
 def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float:
     """<P_L^n_left P_R^n_right> at time t, exact to rounding: a sum over l-blocks."""
-    _check_time(t)
+    _check_real("time", t, 0)  # _moment reads t=None as the stationary limit
     return _moment(_spec_replicas(spec), params, t)
 
 
@@ -259,7 +255,7 @@ def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
     c_1 into weights above it; the summed mode weights are no scale for the
     same reason, as two nearly equal modes carry large weights that cancel.
     """
-    _check_order(spec.n_pairs, MAX_MOMENT_ORDER)
+    _check_int("replica count", spec.n_pairs, 1, MAX_MOMENT_ORDER)
     terms = list(_terms(_signed_bloch(_spec_replicas(spec)), params))
     cut = _REL_WEIGHT_TOL * sum(np.linalg.norm(coeff) for coeff, _ in terms)
     rates = [np.zeros(0)]

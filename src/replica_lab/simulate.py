@@ -50,7 +50,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import ModelParams, SpinState, _bloch
+from .model import ModelParams, SpinState, _bloch, _check_int, _check_real
 from .stats import mean_se
 
 BLOCK_TRAJECTORIES = 1024
@@ -66,6 +66,10 @@ _TRIG_STEPS = 16  # steps per bulk table of kick factors
 _TRANSPOSE_STRIP = 64  # trajectories per strip when the draws turn step-major
 
 _DRIFT_BUDGET_PER_STEP = 1e-12
+
+# A Philox key word holds 64 bits: a seed or trajectory id outside [0, 2**64)
+# would alias another one.
+_KEY_MAX = 2**64 - 1
 
 
 class NormDriftError(RuntimeError):
@@ -84,18 +88,18 @@ class SimConfig:
     record_grid: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        if not (math.isfinite(self.t_final) and self.t_final >= 0):
-            raise ValueError(f"t_final must be finite and >= 0, got {self.t_final!r}")
+        _check_real("dt", self.dt, 0, strict=True)
+        _check_real("t_final", self.t_final, 0)
         gamma, delta = self.params.gamma, self.params.delta
         if gamma > 0 and delta > 0:
             cap = 0.01 * min(1.0 / gamma, 1.0 / delta)
             if self.dt > cap * (1 + 1e-12):
                 raise ValueError(f"dt={self.dt} exceeds 0.01*min(1/delta, 1/gamma)={cap}")
-        if self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be >= 1")
-        _check_key_word("seed", self.seed)
+        _check_int("n_trajectories", self.n_trajectories, 1)
+        _check_int("seed", self.seed, 0, _KEY_MAX)
+        # the step count, an int64 in record_steps(); refused as the float it is when too large
+        steps = self.t_final / self.dt
+        _check_int("t_final/dt", self.n_steps if steps < 2**63 else steps, 0, 2**63 - 1)
         if self.record_grid is not None:
             times = tuple(float(t) for t in self.record_grid)
             for t in times:
@@ -149,17 +153,8 @@ class PulseSpec:
     t0: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.delta_phi):
-            raise ValueError("delta_phi must be finite")
-        if not (math.isfinite(self.t0) and self.t0 >= 0):
-            raise ValueError("t0 must be finite and >= 0")
-
-
-def _check_key_word(name: str, value: int) -> None:
-    # a Philox key word holds 64 bits; a value outside [0, 2**64) would alias another
-    # one, and a bool is an int that would draw the stream of 0 or 1
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
-        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+        _check_real("delta_phi", self.delta_phi)
+        _check_real("t0", self.t0, 0)
 
 
 @dataclass
@@ -175,8 +170,8 @@ class NoiseStream:
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_key_word("seed", self.seed)
-        _check_key_word("trajectory_id", self.trajectory_id)
+        _check_int("seed", self.seed, 0, _KEY_MAX)
+        _check_int("trajectory_id", self.trajectory_id, 0, _KEY_MAX)
         key = np.array([self.seed, self.trajectory_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
@@ -448,8 +443,7 @@ class _GivenNormals:
 
 def step(state: SpinState, params: ModelParams, dt: float, gauss: float) -> SpinState:
     """One Strang-split step by the block kernel: half rotation, phase kick, half rotation."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    _check_real("dt", dt, 0, strict=True)
     block = _StateBlock(1, [state], np.empty(0, dtype=int))
     _advance(params, dt, 1, [_GivenNormals(np.array([float(gauss)]))], block)
     return _spin_state(block.r[:, 0])
@@ -486,11 +480,8 @@ def resolve_workers(workers: Optional[int] = None) -> int:
                 f"got {env!r}"
             )
         workers = int(env)
-    if workers == 0:
-        return os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError(f"worker count must be >= 0, got {workers}")
-    return workers
+    _check_int("worker count", workers, 0)
+    return workers or os.cpu_count() or 1
 
 
 def _block_ranges(n_trajectories: int) -> list[tuple[int, int]]:

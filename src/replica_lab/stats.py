@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import beta_cross_moment
+from .model import _check_int, beta_cross_moment
 
 _VALUE_TOL = 1e-9
 
@@ -27,7 +27,6 @@ class SampleSet:
     """Probabilities in [0, 1], one per independent trajectory."""
 
     values: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -69,8 +68,7 @@ def z_score(mean: float, reference: float, se: float) -> float:
 
 def moments(samples: SampleSet, max_order: int) -> list[MomentReport]:
     """Sample moments <P^n> for n = 1..max_order against the uniform references."""
-    if not 1 <= max_order <= 10:
-        raise ValueError("max_order must be in 1..10")
+    _check_int("max_order", max_order, 1, 10)
     return [cross_moment(samples, n, 0) for n in range(1, max_order + 1)]
 
 
@@ -94,8 +92,7 @@ class HistogramResult:
 
 def histogram(samples: SampleSet, bins: int = 50) -> HistogramResult:
     """Uniform bins on [0, 1], left-closed right-open, last bin closed."""
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
+    _check_int("bins", bins, 2)
     counts, edges = np.histogram(samples.values, bins=bins, range=(0.0, 1.0))
     densities = counts / (samples.size * (1.0 / bins))
     return HistogramResult(edges=edges, counts=counts, densities=densities)

@@ -210,7 +210,7 @@ def test_08_distribution_uniformity(big_ensemble):
     # [0.8, 1.2] is a ~2.9-sigma-per-bin constraint at this sample size, so
     # roughly one random slice in five trips it by chance.  The full 1e5
     # sample is checked below and sits well inside the bound.
-    samples = SampleSet(ensemble.final_p_left[60_000:70_000], provenance=f"seed={SEED}")
+    samples = SampleSet(ensemble.final_p_left[60_000:70_000])
     stat, p_value = ks_uniform(samples)
     assert p_value > 0.001
     worst_z = 0.0

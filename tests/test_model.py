@@ -264,6 +264,8 @@ class TestBetaCrossMoment:
             beta_cross_moment(15, 6)
         with pytest.raises(ValueError):
             beta_cross_moment(1.5, 0)  # type: ignore[arg-type]
+        with pytest.raises(ValueError, match="^n must"):
+            beta_cross_moment(True, 0)  # would give 1/2
 
 
 class TestTimescales:

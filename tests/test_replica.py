@@ -145,6 +145,8 @@ class TestBuildGenerator:
             build_generator(0, params)
         with pytest.raises(ValueError):
             build_generator(7, params)
+        with pytest.raises(ValueError, match="replica count"):
+            build_generator(True, params)  # would build the n = 1 generator
 
 
 class TestEvolve:
@@ -310,6 +312,12 @@ class TestFiniteTimeMoment:
             MomentSpec(LEFT, 0, 0)
         with pytest.raises(ValueError):
             MomentSpec(LEFT, -1, 2)
+        # 1.5 would fail at the first moment call, and True would give <P>
+        for count in (1.5, True):
+            with pytest.raises(ValueError, match="n_left"):
+                MomentSpec(LEFT, count, 0)
+            with pytest.raises(ValueError, match="n_right"):
+                MomentSpec(LEFT, 1, count)
 
 
 class TestInfiniteTimeMoment:

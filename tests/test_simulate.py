@@ -80,11 +80,19 @@ class TestSimConfig:
             SimConfig(params=params, dt=0.01, t_final=1.0, seed=1, n_trajectories=0)
         with pytest.raises(ValueError):
             SimConfig(params=params, dt=0.01, t_final=1.0, seed=1.5, n_trajectories=1)
+        # a float count would fail in the first block, and True would run one trajectory
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match="n_trajectories"):
+                SimConfig(params=params, dt=0.01, t_final=1.0, seed=1, n_trajectories=count)
+        # 1e19 steps overflow record_steps()'s int64; at dt = 5e-324, t_final/dt is inf
+        for dt in (1e-18, 5e-324):
+            with pytest.raises(ValueError, match="t_final/dt"):
+                SimConfig(params=params, dt=dt, t_final=10.0, seed=1, n_trajectories=2)
 
     def test_seed_range(self):
         # the Philox key holds 64 bits: -1 would alias 2**64 - 1, and 2**64 + 5 alias 5
         params = ModelParams(delta=1.0, gamma=1.0)
-        for seed in (0, 2**64 - 1):
+        for seed in (0, 2**64 - 1, np.int64(3)):
             SimConfig(params=params, dt=0.01, t_final=1.0, seed=seed, n_trajectories=1)
         for seed in (-1, 2**64, 2**64 + 5):
             with pytest.raises(ValueError, match="seed"):
@@ -173,6 +181,8 @@ class TestNoiseStream:
         first = NoiseStream(123, 7).normals(100)
         second = NoiseStream(123, 7).normals(100)
         assert np.array_equal(first, second)
+        # a numpy integer is a count like any other
+        assert np.array_equal(NoiseStream(np.uint64(5), 0).normals(8), NoiseStream(5, 0).normals(8))
 
     def test_chunking_does_not_change_draws(self):
         stream = NoiseStream(123, 7)
@@ -286,6 +296,9 @@ class TestRunEnsemble:
         assert sim.resolve_workers() == 3
         monkeypatch.delenv("REPLICA_LAB_THREADS")
         assert sim.resolve_workers() == 1
+        for workers in (1.5, True, -1):  # 1.5 and True would come back as the worker count
+            with pytest.raises(ValueError, match="worker count"):
+                sim.resolve_workers(workers)
 
     @pytest.mark.parametrize("value", ["abc", "-2", "1.5"])
     def test_workers_env_rejects_non_counts(self, monkeypatch, value):

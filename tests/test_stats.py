@@ -71,6 +71,11 @@ class TestMoments:
             moments(samples, max_order=11)
         with pytest.raises(ValueError):
             moments(uniform_samples(99), max_order=2)
+        # a bool order would run as 1 and be reported as order (True, 0)
+        with pytest.raises(ValueError, match="max_order"):
+            moments(samples, True)
+        with pytest.raises(ValueError, match="^n must"):
+            cross_moment(samples, True, 0)
 
     def test_permutation_invariance(self):
         values = np.random.default_rng(5).uniform(size=500)
@@ -124,6 +129,8 @@ class TestHistogram:
     def test_bins_guard(self):
         with pytest.raises(ValueError):
             histogram(uniform_samples(100), bins=1)
+        with pytest.raises(ValueError, match="bins"):
+            histogram(uniform_samples(100), bins=2.5)  # numpy would raise a TypeError
 
 
 class TestKsUniform:
