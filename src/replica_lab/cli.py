@@ -57,6 +57,7 @@ from .replica import (
     finite_time_moment,
     infinite_time_moment,
     mixed_initial_moment,
+    moment_curve,
     permutation_symmetry_defect,
 )
 from .simulate import PulseSpec, SimConfig, run_ensemble, run_paired_ensemble
@@ -269,12 +270,12 @@ def cmd_decay(cfg: argparse.Namespace) -> _Outcome:
     grid = np.linspace(0.0, cfg.t_final, _DECAY_GRID_POINTS)
     ensemble = run_ensemble(_sim_config(cfg, grid), left)
 
-    spec = MomentSpec(left, 1, 0)
+    curve = moment_curve([(left, WellLabel.LEFT)], params, ensemble.times)
     worst = 0.0
     rows = []
     for i, t in enumerate(ensemble.times):  # distinct: grid points on one boundary give one row
         closed = closed_form_p_ll(params, float(t))
-        replica = finite_time_moment(spec, params, float(t))
+        replica = float(curve[i])
         offdiag = closed_form_offdiag(params, float(t))
         worst = max(worst, abs(closed - replica))
         rows.append([_fmt(x) for x in (t, closed, replica, offdiag.real, offdiag.imag,

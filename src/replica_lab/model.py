@@ -50,8 +50,12 @@ def _check_int(name: str, value: int, lo: int, hi: float = math.inf) -> None:
 
 
 def _check_real(name: str, value: float, lo: float = -math.inf, strict: bool = False) -> None:
-    """The one real rule: finite and >= lo, or > lo when strict."""
-    if not (math.isfinite(value) and (value > lo if strict else value >= lo)):
+    """The one real rule: a finite real, numpy's too, never a bool, >= lo (> lo when strict)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) and (value > lo if strict else value >= lo))
+    ):
         bound = "" if lo == -math.inf else f" and {'>' if strict else '>='} {lo}"
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 

@@ -29,7 +29,8 @@ trapezoid (2n + 1) grid integrates the degree-2n integrand exactly.
 
   * Finite-time moments, of one initial state (MomentSpec) or of one state
     per replica, sum the terms.  The moment's decay rates are the
-    eigenvalues of the blocks, kept where the term weighs them.
+    eigenvalues of the blocks, kept where the term weighs them.  A moment
+    curve projects once and walks each block from one time to the next.
   * Stationary moments: for gamma, delta > 0 every block with l >= 1 decays,
     so the moment tends to c_0, the average of F over the sphere.  Nothing
     is inverted or diagonalized, so the critical point gamma = 2 delta,
@@ -224,6 +225,37 @@ def mixed_initial_moment(
     ``MAX_MOMENT_ORDER`` replicas at any t.
     """
     return _moment(list(replicas), params, t)
+
+
+def moment_curve(
+    replicas: Sequence[tuple[SpinState, WellLabel]],
+    params: ModelParams,
+    times: Sequence[float],
+) -> np.ndarray:
+    """:func:`mixed_initial_moment` at each of the non-decreasing ``times``, in one walk.
+
+    The terms are projected once; each block's column e_l is then carried
+    from one time to the next by exp(B_l h), one exponential per distinct
+    gap h.  A value moves from the one-time call's by the rounding of the
+    extra products, about 1e-15; t = 0 gives its exact value.
+    """
+    _check_int("replica count", len(replicas), 1, MAX_MOMENT_ORDER)
+    for t in times:
+        _check_real("time", t, 0)
+    gaps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
+    if np.any(gaps < 0):
+        raise ValueError("times must be non-decreasing")
+    bloch = _signed_bloch(replicas)
+    distinct, gap_index = np.unique(gaps, return_inverse=True)
+    values = np.zeros(len(gaps))
+    for ell, (coeff, block) in enumerate(_terms(bloch, params)):
+        steps = [_expm(block * h) for h in distinct]
+        column = np.eye(len(block))[:, ell]
+        for i, g in enumerate(gap_index):
+            column = steps[g] @ column
+            values[i] += coeff @ column
+    at_zero = float(np.prod(0.5 * (1.0 + bloch[:, 2])))
+    return np.array([_as_probability(at_zero if t == 0.0 else v) for t, v in zip(times, values)])
 
 
 def _zero_cutoff(params: ModelParams) -> float:

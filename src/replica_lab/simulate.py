@@ -21,17 +21,19 @@ are two complex views of the same memory: the kick rotation of (x, y) by
 alpha is one complex multiply of the first by e^{i alpha}, a tunneling
 rotation of (y, z) by beta one multiply of the second by e^{i beta}.  The
 kick factors come from bulk tables.  ``SpinState`` appears only at the API
-boundary.  A block's working memory is bounded whatever the run length: each
-stream hands over a chunk of 1024 draws, which turns step-major one slab of
-at most 256 steps at a time, and the members of a paired block share one
-table of kick factors; a block of 1024 trajectories needs about 12 MB beyond
-its state and records.
+boundary.  A block's working memory is bounded whatever the run length: the
+kick half-angles go step-major into one slab of at most 256 steps at a time,
+and the members of a paired block share one table of kick factors; a block of
+1024 trajectories needs about 3 MB beyond its state and records.
 
-Noise streams are counter-based: trajectory i draws standard normals from
-Philox keyed by (seed, i).  A trajectory's k-th draw is a pure function of
-(seed, trajectory_id, k), independent of scheduling, block size, or worker
-count, which makes runs bit-reproducible on a host and lets paired runs
-consume the identical field realization (common random numbers).
+Noise streams are counter-based and keyed per group of 64 trajectories:
+trajectory i reads column i % 64 of the standard normals of Philox keyed by
+(seed, i // 64), which fill one 64-wide row per step, so its k-th draw is
+element 64 k + i % 64 of that sequence (J. K. Salmon et al., SC11 (2011)).
+The draw is a pure function of (seed, trajectory_id, k), independent of
+scheduling, block size, or worker count, which makes runs bit-reproducible on
+a host and lets paired runs consume the identical field realization (common
+random numbers).
 
 Trajectories are embarrassingly parallel; ensembles run in fixed blocks of
 1024 trajectories, vectorized across the block, and blocks may be dispatched
@@ -54,16 +56,15 @@ from .model import ModelParams, SpinState, _bloch, _check_int, _check_real
 from .stats import mean_se
 
 BLOCK_TRAJECTORIES = 1024
+_GROUP_WIDTH = 64  # trajectories per Philox stream; divides BLOCK_TRAJECTORIES
 # Working memory of one block, whatever its number of steps: about
-# _STEP_CHUNK + _SLAB_STEPS + (4 + 4 * members) * _TRIG_STEPS doubles per
-# trajectory (12 MB at 1024 trajectories): the draw chunk, the slab, the
-# complex kick table and its two real temporaries, and the state path of a
-# table with its norm_sq, on top of the block's state and records and
-# whatever the process running it holds.
-_STEP_CHUNK = 1024  # draws per stream per call, trajectory-major
+# _SLAB_STEPS + (4 + 4 * members) * _TRIG_STEPS doubles per trajectory (3 MB
+# at 1024 trajectories): the slab, the complex kick table and its two real
+# temporaries, and the state path of a table with its norm_sq, plus one
+# group's _SLAB_STEPS rows of draws, on top of the block's state and records
+# and whatever the process running it holds.
 _SLAB_STEPS = 256  # steps per step-major slab of kick half-angles
 _TRIG_STEPS = 16  # steps per bulk table of kick factors
-_TRANSPOSE_STRIP = 64  # trajectories per strip when the draws turn step-major
 
 _DRIFT_BUDGET_PER_STEP = 1e-12
 
@@ -159,24 +160,35 @@ class PulseSpec:
 
 @dataclass
 class NoiseStream:
-    """Counter-based normal stream for one trajectory.
+    """Counter-based normal stream of one trajectory, or of ``width`` adjacent ones of one group.
 
-    Draw k is a deterministic function of (seed, trajectory_id, k); streams
-    with different trajectory ids are statistically independent.
+    Draw k of trajectory i is element 64 k + i % 64 of the normals of Philox
+    keyed (seed, i // 64), a pure function of (seed, trajectory_id, k).
+    ``normals(count)`` hands over the next count / width steps, row-major.
     """
 
     seed: int
     trajectory_id: int
+    width: int = 1
+    _col: int = field(init=False, repr=False)  # the first column within the group
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_int("seed", self.seed, 0, _KEY_MAX)
         _check_int("trajectory_id", self.trajectory_id, 0, _KEY_MAX)
-        key = np.array([self.seed, self.trajectory_id], dtype=np.uint64)
+        group, self._col = divmod(int(self.trajectory_id), _GROUP_WIDTH)
+        _check_int("width", self.width, 1, _GROUP_WIDTH - self._col)
+        key = np.array([self.seed, group], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def normals(self, count: int) -> np.ndarray:
-        return self._gen.standard_normal(count)
+        rows, rest = divmod(count, self.width)
+        if rest:
+            raise ValueError(f"count must be a multiple of width={self.width}, got {count}")
+        draws = self._gen.standard_normal(rows * _GROUP_WIDTH)
+        if self.width == _GROUP_WIDTH:
+            return draws
+        return draws.reshape(rows, _GROUP_WIDTH)[:, self._col : self._col + self.width].ravel()
 
 
 @dataclass(frozen=True)
@@ -309,25 +321,22 @@ def _pulse_boundary(pulse: Optional[PulseSpec], cfg: SimConfig) -> int:
 def _kick_slabs(streams: Sequence, n_steps: int, kick: float) -> Iterator[np.ndarray]:
     """Kick half-angles kick*g of every step in step-major (steps, n) slabs: row j is one step.
 
-    Each stream fills a trajectory-major chunk of _STEP_CHUNK draws through
-    ``normals(count)``.  The chunk turns step-major once, one slab of at most
-    _SLAB_STEPS steps at a time, in strips of _TRANSPOSE_STRIP trajectories,
-    which keeps the strided reads in cache.  The slabs share one buffer: a
-    slab is valid until the next one is drawn.
+    Each stream covers ``width`` adjacent columns; per slab of at most
+    _SLAB_STEPS steps it hands over steps * width draws, row-major, through
+    ``normals(count)``, which land scaled in the slab.  The slabs share one
+    buffer: a slab is valid until the next one is drawn.
     """
-    n = len(streams)
-    noise = np.empty((n, min(_STEP_CHUNK, n_steps)))
+    n = sum(stream.width for stream in streams)
     slab = np.empty((min(_SLAB_STEPS, n_steps), n))
-    for k in range(0, n_steps, _STEP_CHUNK):
-        size = min(_STEP_CHUNK, n_steps - k)
-        for row, stream in enumerate(streams):
-            noise[row, :size] = stream.normals(size)
-        for lo in range(0, size, _SLAB_STEPS):
-            angles = slab[: min(_SLAB_STEPS, size - lo)]
-            for col in range(0, n, _TRANSPOSE_STRIP):
-                strip = noise[col : col + _TRANSPOSE_STRIP, lo : lo + len(angles)]
-                np.multiply(strip.T, kick, out=angles[:, col : col + _TRANSPOSE_STRIP])
-            yield angles
+    for k in range(0, n_steps, _SLAB_STEPS):
+        angles = slab[: min(_SLAB_STEPS, n_steps - k)]
+        col = 0
+        for stream in streams:
+            draws = stream.normals(len(angles) * stream.width)
+            np.multiply(draws.reshape(len(angles), stream.width), kick,
+                        out=angles[:, col : col + stream.width])
+            col += stream.width
+        yield angles
 
 
 def _kick_table(t: np.ndarray, kicks: np.ndarray, t_sq: np.ndarray, denom: np.ndarray) -> None:
@@ -369,7 +378,7 @@ def _turn(view: np.ndarray, factor, scratch: np.ndarray) -> None:
 def _advance(
     params: ModelParams, dt: float, n_steps: int, streams: Sequence, block: _StateBlock
 ) -> None:
-    """March a block through n_steps Strang steps; stream i feeds column i of every member.
+    """March a block through n_steps Strang steps; the streams feed columns 0..n-1 of every member.
 
     One step is a tunneling rotation of (y, z) by delta*dt/2, a kick rotation
     of (x, y) by 2*kick*g, and another half rotation, each one ``_turn`` of
@@ -383,7 +392,7 @@ def _advance(
     block.at_boundary(0)
     if n_steps == 0:
         return
-    n = len(streams)
+    n = block.n
     half, full = 0.5 * params.delta * dt, params.delta * dt
     f_half, f_full = _unit(half), _unit(full)
     kick = math.sqrt(0.5 * params.gamma * dt)
@@ -432,7 +441,9 @@ def _check_drift(drift: float, n_steps: int) -> float:
 
 
 class _GivenNormals:
-    """A stream that hands out fixed draws, for stepping by given kicks."""
+    """A stream of one trajectory that hands out fixed draws, for stepping by given kicks."""
+
+    width = 1
 
     def __init__(self, draws: np.ndarray):
         self._draws = draws
@@ -498,7 +509,9 @@ def _block_task(args) -> tuple[dict, np.ndarray, float]:
     final P_left as a (members, hi - lo) array, and the block's norm drift.
     """
     cfg, lo, hi, initials, record_steps, pulse, pulse_boundary = args
-    streams = [NoiseStream(cfg.seed, i) for i in range(lo, hi)]
+    streams = [
+        NoiseStream(cfg.seed, i, min(i + _GROUP_WIDTH, hi) - i) for i in range(lo, hi, _GROUP_WIDTH)
+    ]
     block = _StateBlock(hi - lo, initials, record_steps, pulse, pulse_boundary)
     _advance(cfg.params, cfg.dt, cfg.n_steps, streams, block)
     p, coh = block.p_rec, block.coh_rec
@@ -567,7 +580,7 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run cfg.n_trajectories independent realizations and summarize them.
 
-    Trajectory i always consumes the stream keyed (seed, i); partial sums are
+    Trajectory i always consumes the draws of NoiseStream(seed, i); partial sums are
     combined in fixed block order, so the result is bit-identical for any
     worker count.
     """

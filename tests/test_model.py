@@ -19,6 +19,7 @@ from replica_lab.model import (
     relaxation_times,
     stationary_time,
 )
+from replica_lab.replica import MomentSpec, finite_time_moment
 
 # Golden values computed independently: 40-digit numerical inverse Laplace
 # (mpmath, Talbot contour) applied to the rational transforms.
@@ -53,6 +54,29 @@ class TestModelParams:
 
     def test_zero_allowed(self):
         ModelParams(delta=0.0, gamma=0.0)
+
+
+PARAMS = ModelParams(delta=1.0, gamma=1.0)
+
+
+@pytest.mark.parametrize("value", [None, "1", True, False, np.True_, 1 + 0j],
+                         ids=["none", "str", "true", "false", "np-bool", "complex"])
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda v: closed_form_p_ll(PARAMS, v), "time"),
+        (lambda v: laplace_p_ll(PARAMS, v), "Laplace variable"),
+        (lambda v: ModelParams(delta=v, gamma=1.0), "delta"),
+        (lambda v: finite_time_moment(MomentSpec(SpinState.localized(WellLabel.LEFT), 1, 0),
+                                      PARAMS, v), "time"),
+    ],
+    ids=["closed-form", "laplace", "params", "replica"],
+)
+def test_real_inputs_refuse_non_numbers_and_bools(call, name, value):
+    # a non-number failed inside math.isfinite with a TypeError that named no
+    # input, and a bool passed as 0 or 1: closed_form_p_ll(params, True) was 0.83
+    with pytest.raises(ValueError, match=name):
+        call(value)
 
 
 class TestSpinState:

@@ -548,6 +548,35 @@ class TestMixedInitialMoment:
                 assert split == pytest.approx(mixed_initial_moment(head, params, t), abs=1e-12)
 
 
+class TestMomentCurve:
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_walk_matches_one_time_calls(self, gamma):
+        # snapped grid times repeat a gap up to rounding; the walk must stay
+        # within rounding of the one-time call at every point, and exact at 0
+        params = ModelParams(delta=1.0, gamma=gamma)
+        rng = np.random.default_rng(5)
+        replicas = [(_random_state(rng), WellLabel.LEFT), (LEFT, WellLabel.RIGHT),
+                    (_random_state(rng), WellLabel.LEFT)]
+        times = np.arange(0, 401, 2) * 0.01
+        times = np.concatenate([times, [times[-1], 4.5]])
+        curve = replica.moment_curve(replicas, params, times)
+        for t, value in zip(times, curve):
+            assert value == pytest.approx(mixed_initial_moment(replicas, params, t), abs=1e-14)
+        assert curve[0] == mixed_initial_moment(replicas, params, 0.0)
+
+    def test_decay_curve_matches_closed_form(self):
+        params = ModelParams(delta=1.0, gamma=0.7)
+        times = np.linspace(0.0, 10.0, 201)
+        curve = replica.moment_curve([(LEFT, WellLabel.LEFT)], params, times)
+        for t, value in zip(times, curve):
+            assert value == pytest.approx(closed_form_p_ll(params, float(t)), abs=1e-13)
+
+    @pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [-1.0], [0.0, math.nan], [None]])
+    def test_times_refused(self, times):
+        with pytest.raises(ValueError, match="time"):
+            replica.moment_curve([(LEFT, WellLabel.LEFT)], ModelParams(1.0, 1.0), times)
+
+
 class TestSpectrum:
     def test_pure_tunneling_eigenvalues(self):
         gen = build_generator(1, ModelParams(delta=1.0, gamma=0.0))

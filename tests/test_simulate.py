@@ -193,6 +193,34 @@ class TestNoiseStream:
         base = NoiseStream(123, 7).normals(64)
         assert not np.array_equal(base, NoiseStream(123, 8).normals(64))
         assert not np.array_equal(base, NoiseStream(124, 7).normals(64))
+        # the last column of one group against the first of the next
+        last, first = NoiseStream(123, 63).normals(64), NoiseStream(123, 64).normals(64)
+        assert not np.array_equal(last, first)
+
+    @pytest.mark.parametrize("trajectory_id", [0, 7, 63, 64, 2099])
+    def test_trajectory_reads_one_column_of_its_group_stream(self, trajectory_id):
+        # draw k of trajectory i is element 64 k + i % 64 of the normals of
+        # Philox keyed (seed, i // 64): a drift here re-rolls every fixed-seed result
+        seed, k = 123, 50
+        gen = np.random.Generator(np.random.Philox(key=[seed, trajectory_id // 64]))
+        expected = gen.standard_normal(64 * k).reshape(k, 64)[:, trajectory_id % 64]
+        assert np.array_equal(NoiseStream(seed, trajectory_id).normals(k), expected)
+
+    def test_group_stream_hands_over_rows_of_its_columns(self):
+        wide = NoiseStream(123, 64, 64).normals(64 * 10).reshape(10, 64)
+        part = NoiseStream(123, 70, 5).normals(5 * 10).reshape(10, 5)
+        assert np.array_equal(part, wide[:, 6:11])
+        for col in (0, 6, 63):
+            assert np.array_equal(wide[:, col], NoiseStream(123, 64 + col).normals(10))
+
+    @pytest.mark.parametrize("trajectory_id,width", [(0, 0), (0, 65), (63, 2), (5, True)])
+    def test_width_within_one_group(self, trajectory_id, width):
+        with pytest.raises(ValueError, match="width"):
+            NoiseStream(3, trajectory_id, width)
+
+    def test_count_in_whole_rows(self):
+        with pytest.raises(ValueError, match="multiple of width"):
+            NoiseStream(3, 0, 4).normals(10)
 
     @pytest.mark.parametrize(
         "seed,trajectory_id,name",
@@ -416,7 +444,7 @@ class TestBlochKernel:
         cfg = SimConfig(params=params, dt=0.01, t_final=41.3, seed=67, n_trajectories=1030)
         pulse = PulseSpec(0.7, 17.31)
         ens = run_ensemble(cfg, RANDOM, pulse)
-        for i in (0, 1023, 1024, 1029):
+        for i in (0, 63, 64, 1023, 1024, 1029):
             traj = run_trajectory(cfg, NoiseStream(67, i), RANDOM, pulse)
             assert ens.final_p_left[i] == traj.final_p_left
 
@@ -449,7 +477,8 @@ class TestBlochKernel:
 
     def test_working_memory_does_not_grow_with_run_length(self):
         # one block of 1024 trajectories x 3000 steps: draws held for the
-        # whole block took 25.8 MiB here, the chunk and slab about 12.2 MiB
+        # whole block took 25.8 MiB, per-trajectory draw chunks and the slab
+        # about 12.2 MiB, group streams drawing into the slab 4.5 MiB
         params = ModelParams(delta=1.0, gamma=1.0)
         cfg = SimConfig(params=params, dt=1e-3, t_final=3.0, seed=79, n_trajectories=1024)
         runs = (
@@ -466,27 +495,30 @@ class TestBlochKernel:
             assert peak <= 14 * 2**20
 
     def test_draws_only_through_positional_normals(self):
-        # the kernel may ask a stream for nothing but normals(count), count at
-        # most _STEP_CHUNK, and must take exactly one draw per step
+        # the kernel may ask a group stream for nothing but normals(count),
+        # count a whole number of rows of at most _SLAB_STEPS steps, and must
+        # take exactly one draw per trajectory per step
         class Recording:
-            def __init__(self, trajectory_id):
-                self.stream = NoiseStream(83, trajectory_id)
+            def __init__(self, trajectory_id, width):
+                self.stream = NoiseStream(83, trajectory_id, width)
+                self.width = width
                 self.calls = []
 
             def normals(self, *args, **kwargs):
                 self.calls.append((args, kwargs))
                 return self.stream.normals(*args, **kwargs)
 
-        n_steps = 2 * sim._STEP_CHUNK + 37
-        streams = [Recording(i) for i in range(3)]
-        block = sim._StateBlock(3, [RANDOM], np.array([0, 5, n_steps]))
+        n_steps = 2 * sim._SLAB_STEPS + 37
+        streams = [Recording(0, 64), Recording(64, 3)]
+        block = sim._StateBlock(67, [RANDOM], np.array([0, 5, n_steps]))
         sim._advance(ModelParams(delta=1.0, gamma=1.0), 0.01, n_steps, streams, block)
         for stream in streams:
             assert stream.calls
             for args, kwargs in stream.calls:
                 assert kwargs == {} and len(args) == 1
-                assert 1 <= args[0] <= sim._STEP_CHUNK
-            assert sum(args[0] for args, _ in stream.calls) == n_steps
+                assert args[0] % stream.width == 0
+                assert stream.width <= args[0] <= sim._SLAB_STEPS * stream.width
+            assert sum(args[0] for args, _ in stream.calls) == n_steps * stream.width
 
     @pytest.mark.parametrize("gamma", [1.0, 3.0])
     def test_coherence_matches_closed_form(self, gamma):
@@ -567,7 +599,7 @@ class TestRunPairedEnsemble:
         cfg = SimConfig(params=params, dt=0.01, t_final=13.37, seed=89, n_trajectories=2100,
                         record_grid=(pulse.t0,))
         paired = run_paired_ensemble(cfg, PLUS, RANDOM, pulse_on_b=pulse)
-        for i in (0, 1023, 1024, 2099):
+        for i in (0, 63, 64, 1023, 1024, 2099):
             assert paired.final_p_a[i] == run_trajectory(cfg, NoiseStream(89, i), PLUS).final_p_left
             pulsed = run_trajectory(cfg, NoiseStream(89, i), RANDOM, pulse)
             assert paired.final_p_b[i] == pulsed.final_p_left
