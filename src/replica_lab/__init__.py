@@ -27,7 +27,6 @@ from .replica import (
     finite_time_moment,
     infinite_time_moment,
     mixed_initial_moment,
-    moment_curve,
     moment_decay_rates,
     permutation_symmetry_defect,
 )

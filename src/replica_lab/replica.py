@@ -185,20 +185,16 @@ def _terms(bloch: np.ndarray, params: ModelParams):
 
 def _moment(replicas: list, params: ModelParams, t: float | None) -> float:
     """<prod_k P(state_k -> well_k)> at t, or its stationary limit c_0 for t=None."""
+    if t is not None:
+        return float(moment_curve(replicas, params, [t])[0])
     _check_int("replica count", len(replicas), 1, MAX_MOMENT_ORDER)
     bloch = _signed_bloch(replicas)
-    if t is None:
-        if params.gamma == 0.0 or params.delta == 0.0:
-            raise NoStationaryLimitError(
-                "no stationary limit: dynamics is oscillatory (gamma=0) or frozen (delta=0)"
-            )
-        coeff, _ = next(_terms(bloch, params))
-        return _as_probability(coeff[0])
-    _check_real("time", t, 0)
-    if t == 0.0:  # u = z-hat exactly
-        return _as_probability(float(np.prod(0.5 * (1.0 + bloch[:, 2]))))
-    terms = enumerate(_terms(bloch, params))
-    return _as_probability(sum(c @ _expm(block * t)[:, ell] for ell, (c, block) in terms))
+    if params.gamma == 0.0 or params.delta == 0.0:
+        raise NoStationaryLimitError(
+            "no stationary limit: dynamics is oscillatory (gamma=0) or frozen (delta=0)"
+        )
+    coeff, _ = next(_terms(bloch, params))
+    return _as_probability(coeff[0])
 
 
 def finite_time_moment(spec: MomentSpec, params: ModelParams, t: float) -> float:
@@ -236,23 +232,24 @@ def moment_curve(
 
     The terms are projected once; each block's column e_l is then carried
     from one time to the next by exp(B_l h), one exponential per distinct
-    gap h.  A value moves from the one-time call's by the rounding of the
-    extra products, about 1e-15; t = 0 gives its exact value.
+    gap h.  A one-time call is the walk of a single gap, so the first
+    value is the one-time call's bit for bit; a later one moves from it by
+    the rounding of the extra products, about 1e-15.  t = 0 gives its exact
+    value, the product over replicas at u = z-hat.
     """
     _check_int("replica count", len(replicas), 1, MAX_MOMENT_ORDER)
     for t in times:
         _check_real("time", t, 0)
-    gaps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
-    if np.any(gaps < 0):
+    gaps = [float(b) - float(a) for a, b in zip([0.0, *times], times)]
+    if any(h < 0 for h in gaps):
         raise ValueError("times must be non-decreasing")
     bloch = _signed_bloch(replicas)
-    distinct, gap_index = np.unique(gaps, return_inverse=True)
-    values = np.zeros(len(gaps))
+    values = [0.0] * len(gaps)
     for ell, (coeff, block) in enumerate(_terms(bloch, params)):
-        steps = [_expm(block * h) for h in distinct]
-        column = np.eye(len(block))[:, ell]
-        for i, g in enumerate(gap_index):
-            column = steps[g] @ column
+        steps = {h: _expm(block * h) for h in set(gaps)}
+        column = None  # e_l, so the first step is column l of its exponential
+        for i, h in enumerate(gaps):
+            column = steps[h][:, ell] if column is None else steps[h] @ column
             values[i] += coeff @ column
     at_zero = float(np.prod(0.5 * (1.0 + bloch[:, 2])))
     return np.array([_as_probability(at_zero if t == 0.0 else v) for t, v in zip(times, values)])

@@ -160,16 +160,22 @@ class PulseSpec:
 
 @dataclass
 class NoiseStream:
-    """Counter-based normal stream of one trajectory, or of ``width`` adjacent ones of one group.
+    """Counter-based normal stream of one trajectory.
 
     Draw k of trajectory i is element 64 k + i % 64 of the normals of Philox
-    keyed (seed, i // 64), a pure function of (seed, trajectory_id, k).
-    ``normals(count)`` hands over the next count / width steps, row-major.
+    keyed (seed, i // 64), a pure function of (seed, trajectory_id, k).  The
+    group's stream fills whole 64-wide rows, so one trajectory's stream
+    generates 64 normals per step and keeps one: a single run draws 64 times
+    the noise it uses, and an ensemble's partial last group up to that.
+
+    The ensemble blocks pass the keyword ``width`` to cover that many
+    adjacent trajectories of one group; ``normals(count)`` then hands over
+    the next count / width steps, row-major.
     """
 
     seed: int
     trajectory_id: int
-    width: int = 1
+    width: int = field(default=1, kw_only=True)
     _col: int = field(init=False, repr=False)  # the first column within the group
     _gen: np.random.Generator = field(init=False, repr=False)
 
@@ -318,24 +324,23 @@ def _pulse_boundary(pulse: Optional[PulseSpec], cfg: SimConfig) -> int:
     return -1 if pulse is None else cfg.boundary(pulse.t0)
 
 
-def _kick_slabs(streams: Sequence, n_steps: int, kick: float) -> Iterator[np.ndarray]:
+def _kick_slabs(streams: Sequence, n: int, n_steps: int, kick: float) -> Iterator[np.ndarray]:
     """Kick half-angles kick*g of every step in step-major (steps, n) slabs: row j is one step.
 
-    Each stream covers ``width`` adjacent columns; per slab of at most
-    _SLAB_STEPS steps it hands over steps * width draws, row-major, through
-    ``normals(count)``, which land scaled in the slab.  The slabs share one
-    buffer: a slab is valid until the next one is drawn.
+    Stream j feeds columns 64 j .. min(64 j + 64, n) - 1, the layout of a
+    block's groups; per slab of at most _SLAB_STEPS steps it hands over
+    steps * width draws, row-major, through ``normals(count)``, which land
+    scaled in the slab.  The slabs share one buffer: a slab is valid until
+    the next one is drawn.
     """
-    n = sum(stream.width for stream in streams)
+    cols = range(0, n, _GROUP_WIDTH)
     slab = np.empty((min(_SLAB_STEPS, n_steps), n))
     for k in range(0, n_steps, _SLAB_STEPS):
         angles = slab[: min(_SLAB_STEPS, n_steps - k)]
-        col = 0
-        for stream in streams:
-            draws = stream.normals(len(angles) * stream.width)
-            np.multiply(draws.reshape(len(angles), stream.width), kick,
-                        out=angles[:, col : col + stream.width])
-            col += stream.width
+        for stream, col in zip(streams, cols, strict=True):
+            group = angles[:, col : col + _GROUP_WIDTH]
+            draws = stream.normals(group.size)
+            np.multiply(draws.reshape(group.shape), kick, out=group)
         yield angles
 
 
@@ -378,7 +383,7 @@ def _turn(view: np.ndarray, factor, scratch: np.ndarray) -> None:
 def _advance(
     params: ModelParams, dt: float, n_steps: int, streams: Sequence, block: _StateBlock
 ) -> None:
-    """March a block through n_steps Strang steps; the streams feed columns 0..n-1 of every member.
+    """March a block through n_steps Strang steps; stream j feeds columns 64 j.. of every member.
 
     One step is a tunneling rotation of (y, z) by delta*dt/2, a kick rotation
     of (x, y) by 2*kick*g, and another half rotation, each one ``_turn`` of
@@ -413,7 +418,7 @@ def _advance(
     whole = True  # the state sits on a step boundary: open with a half rotation
 
     k = 0
-    for angles in _kick_slabs(streams, n_steps, kick):
+    for angles in _kick_slabs(streams, n, n_steps, kick):
         for lo in range(0, len(angles), rows):
             m = min(rows, len(angles) - lo)
             _kick_table(angles[lo : lo + m], kicks[:m], t_sq[:m], denom[:m])
@@ -442,8 +447,6 @@ def _check_drift(drift: float, n_steps: int) -> float:
 
 class _GivenNormals:
     """A stream of one trajectory that hands out fixed draws, for stepping by given kicks."""
-
-    width = 1
 
     def __init__(self, draws: np.ndarray):
         self._draws = draws
@@ -510,7 +513,8 @@ def _block_task(args) -> tuple[dict, np.ndarray, float]:
     """
     cfg, lo, hi, initials, record_steps, pulse, pulse_boundary = args
     streams = [
-        NoiseStream(cfg.seed, i, min(i + _GROUP_WIDTH, hi) - i) for i in range(lo, hi, _GROUP_WIDTH)
+        NoiseStream(cfg.seed, i, width=min(i + _GROUP_WIDTH, hi) - i)
+        for i in range(lo, hi, _GROUP_WIDTH)
     ]
     block = _StateBlock(hi - lo, initials, record_steps, pulse, pulse_boundary)
     _advance(cfg.params, cfg.dt, cfg.n_steps, streams, block)

@@ -207,8 +207,8 @@ class TestNoiseStream:
         assert np.array_equal(NoiseStream(seed, trajectory_id).normals(k), expected)
 
     def test_group_stream_hands_over_rows_of_its_columns(self):
-        wide = NoiseStream(123, 64, 64).normals(64 * 10).reshape(10, 64)
-        part = NoiseStream(123, 70, 5).normals(5 * 10).reshape(10, 5)
+        wide = NoiseStream(123, 64, width=64).normals(64 * 10).reshape(10, 64)
+        part = NoiseStream(123, 70, width=5).normals(5 * 10).reshape(10, 5)
         assert np.array_equal(part, wide[:, 6:11])
         for col in (0, 6, 63):
             assert np.array_equal(wide[:, col], NoiseStream(123, 64 + col).normals(10))
@@ -216,11 +216,11 @@ class TestNoiseStream:
     @pytest.mark.parametrize("trajectory_id,width", [(0, 0), (0, 65), (63, 2), (5, True)])
     def test_width_within_one_group(self, trajectory_id, width):
         with pytest.raises(ValueError, match="width"):
-            NoiseStream(3, trajectory_id, width)
+            NoiseStream(3, trajectory_id, width=width)
 
     def test_count_in_whole_rows(self):
         with pytest.raises(ValueError, match="multiple of width"):
-            NoiseStream(3, 0, 4).normals(10)
+            NoiseStream(3, 0, width=4).normals(10)
 
     @pytest.mark.parametrize(
         "seed,trajectory_id,name",
@@ -500,7 +500,7 @@ class TestBlochKernel:
         # take exactly one draw per trajectory per step
         class Recording:
             def __init__(self, trajectory_id, width):
-                self.stream = NoiseStream(83, trajectory_id, width)
+                self.stream = NoiseStream(83, trajectory_id, width=width)
                 self.width = width
                 self.calls = []
 
