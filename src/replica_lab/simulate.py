@@ -21,10 +21,11 @@ are two complex views of the same memory: the kick rotation of (x, y) by
 alpha is one complex multiply of the first by e^{i alpha}, a tunneling
 rotation of (y, z) by beta one multiply of the second by e^{i beta}.  The
 kick factors come from bulk tables.  ``SpinState`` appears only at the API
-boundary.  A block's working memory is bounded whatever the run length: the
-kick half-angles go step-major into one slab of at most 256 steps at a time,
-and the members of a paired block share one table of kick factors; a block of
-1024 trajectories needs about 3 MB beyond its state and records.
+boundary.  A block's working memory is bounded whatever its run length and
+number of record times: kick half-angles go step-major into one slab of at
+most 256 steps, a paired block's members share one table of kick factors, and
+each record is summed over the columns when taken; a block of 1024
+trajectories needs about 3 MB beyond its state and record sums.
 
 Noise streams are counter-based and keyed per group of 64 trajectories:
 trajectory i reads column i % 64 of the standard normals of Philox keyed by
@@ -61,12 +62,13 @@ _GROUP_WIDTH = 64  # trajectories per Philox stream; divides BLOCK_TRAJECTORIES
 # _SLAB_STEPS + (4 + 4 * members) * _TRIG_STEPS doubles per trajectory (3 MB
 # at 1024 trajectories): the slab, the complex kick table and its two real
 # temporaries, and the state path of a table with its norm_sq, plus one
-# group's _SLAB_STEPS rows of draws, on top of the block's state and records
+# group's _SLAB_STEPS rows of draws, on top of the block's state and record sums
 # and whatever the process running it holds.
 _SLAB_STEPS = 256  # steps per step-major slab of kick half-angles
 _TRIG_STEPS = 16  # steps per bulk table of kick factors
 
 _DRIFT_BUDGET_PER_STEP = 1e-12
+_SUMS = ("p", "p_sq", "p_4", "coh", "coh_re_sq", "coh_im_sq")  # a block's sums per record
 
 # A Philox key word holds 64 bits: a seed or trajectory id outside [0, 2**64)
 # would alias another one.
@@ -250,7 +252,7 @@ def _spin_state(r: np.ndarray) -> SpinState:
 
 
 class _StateBlock:
-    """Bloch vectors of one trajectory block, one column each, plus records and pulse.
+    """Bloch vectors of one trajectory block, one column each, plus the sums of its records.
 
     ``s`` is one trajectory-major (members * n, 3) array, so x, y and z of a
     column are adjacent; ``r = s.T`` is its (3, members * n) view, column by
@@ -283,8 +285,8 @@ class _StateBlock:
         # angle of exactly 0, and |phi| < pi is left unchanged.
         angle = 2.0 * math.fmod(pulse.delta_phi, math.pi) if pulse else 0.0
         self.pulse_factor = _unit(angle)
-        self.p_rec = np.empty((width, len(record_steps)))
-        self.coh_rec = np.empty((width, len(record_steps)), dtype=complex)
+        self.sums = {key: np.zeros(len(record_steps)) for key in _SUMS}
+        self.sums["coh"] = np.zeros(len(record_steps), complex)
         self.drift = 0.0
         self._ptr = 0
 
@@ -298,9 +300,10 @@ class _StateBlock:
             # on a localized state x + iy = 0, so the turn leaves it exactly unchanged
             _turn(self.w[-self.n :], self.pulse_factor, np.empty(self.n, complex))
         if self._ptr < len(self.record_steps) and self.record_steps[self._ptr] == boundary:
-            self.p_rec[:, self._ptr] = self.p_left()
-            self.coh_rec[:, self._ptr].real = 0.5 * self.r[0]
-            self.coh_rec[:, self._ptr].imag = 0.5 * self.r[1]
+            p, coh = self.p_left(), (0.5 * self.s[:, :2]).view(complex)[:, 0]  # a b*
+            # in column order, not np.sum's pairwise order: fixed-seed outputs keep their bits
+            for key, values in zip(_SUMS, (p, p**2, p**4, coh, coh.real**2, coh.imag**2)):
+                self.sums[key][self._ptr] = np.cumsum(values)[-1]
             self._ptr += 1
 
     def p_left(self) -> np.ndarray:
@@ -403,7 +406,9 @@ def _advance(
     kick = math.sqrt(0.5 * params.gamma * dt)
 
     # views with one row per member, so that one (n,) kick row broadcasts
-    # over them; one member stays 1-d, where numpy's loops are faster
+    # over them.  One member stays 1-d: numpy's loops are faster there, and a
+    # (1, 1) view changes the last bits, so run_trajectory would no longer
+    # equal its column of an ensemble
     width = len(block.s)
     shape = (width // n, n) if width > n else (width,)
     w, u = block.w.reshape(shape), block.u.reshape(shape)
@@ -476,7 +481,7 @@ def run_trajectory(
     return TrajectoryResult(
         final_state=_spin_state(block.r[:, 0]),
         times=cfg.record_times(),
-        p_left_series=block.p_rec[0].copy(),
+        p_left_series=block.sums["p"],
         final_p_left=float(block.p_left()[0]),
         norm_drift=drift,
     )
@@ -508,8 +513,8 @@ def _block_ranges(n_trajectories: int) -> list[tuple[int, int]]:
 def _block_task(args) -> tuple[dict, np.ndarray, float]:
     """Trajectories lo..hi-1 of every member against their shared noise streams.
 
-    Returns the sums over the block's columns of each recorded power, the
-    final P_left as a (members, hi - lo) array, and the block's norm drift.
+    Returns the block's record sums, the final P_left as a (members, hi - lo)
+    array, and the block's norm drift.
     """
     cfg, lo, hi, initials, record_steps, pulse, pulse_boundary = args
     streams = [
@@ -518,16 +523,7 @@ def _block_task(args) -> tuple[dict, np.ndarray, float]:
     ]
     block = _StateBlock(hi - lo, initials, record_steps, pulse, pulse_boundary)
     _advance(cfg.params, cfg.dt, cfg.n_steps, streams, block)
-    p, coh = block.p_rec, block.coh_rec
-    sums = {
-        "p": p.sum(axis=0),
-        "p_sq": (p**2).sum(axis=0),
-        "p_4": (p**4).sum(axis=0),
-        "coh": coh.sum(axis=0),
-        "coh_re_sq": (coh.real**2).sum(axis=0),
-        "coh_im_sq": (coh.imag**2).sum(axis=0),
-    }
-    return sums, block.p_left().reshape(len(initials), hi - lo), block.drift
+    return block.sums, block.p_left().reshape(len(initials), hi - lo), block.drift
 
 
 def _map_blocks(worker, tasks, workers: int) -> list:
