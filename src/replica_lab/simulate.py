@@ -68,7 +68,6 @@ _SLAB_STEPS = 256  # steps per step-major slab of kick half-angles
 _TRIG_STEPS = 16  # steps per bulk table of kick factors
 
 _DRIFT_BUDGET_PER_STEP = 1e-12
-_SUMS = ("p", "p_sq", "p_4", "coh", "coh_re_sq", "coh_im_sq")  # a block's sums per record
 
 # A Philox key word holds 64 bits: a seed or trajectory id outside [0, 2**64)
 # would alias another one.
@@ -285,8 +284,9 @@ class _StateBlock:
         # angle of exactly 0, and |phi| < pi is left unchanged.
         angle = 2.0 * math.fmod(pulse.delta_phi, math.pi) if pulse else 0.0
         self.pulse_factor = _unit(angle)
-        self.sums = {key: np.zeros(len(record_steps)) for key in _SUMS}
-        self.sums["coh"] = np.zeros(len(record_steps), complex)
+        # per record: sums over the columns of P_left, a b* as (re, im), their
+        # squares and P_left^4; _terms holds the terms of one record
+        self.sums, self._terms = np.zeros((7, len(record_steps))), np.empty((7, width))
         self.drift = 0.0
         self._ptr = 0
 
@@ -300,10 +300,13 @@ class _StateBlock:
             # on a localized state x + iy = 0, so the turn leaves it exactly unchanged
             _turn(self.w[-self.n :], self.pulse_factor, np.empty(self.n, complex))
         if self._ptr < len(self.record_steps) and self.record_steps[self._ptr] == boundary:
-            p, coh = self.p_left(), (0.5 * self.s[:, :2]).view(complex)[:, 0]  # a b*
+            t = self._terms
+            t[0] = self.p_left()
+            np.multiply(0.5, self.r[:2], out=t[1:3])
+            np.square(t[:3], out=t[3:6])
+            np.power(t[0], 4, out=t[6])
             # in column order, not np.sum's pairwise order: fixed-seed outputs keep their bits
-            for key, values in zip(_SUMS, (p, p**2, p**4, coh, coh.real**2, coh.imag**2)):
-                self.sums[key][self._ptr] = np.cumsum(values)[-1]
+            self.sums[:, self._ptr] = np.add.accumulate(t, axis=1, out=t)[:, -1]
             self._ptr += 1
 
     def p_left(self) -> np.ndarray:
@@ -481,7 +484,7 @@ def run_trajectory(
     return TrajectoryResult(
         final_state=_spin_state(block.r[:, 0]),
         times=cfg.record_times(),
-        p_left_series=block.sums["p"],
+        p_left_series=block.sums[0],
         final_p_left=float(block.p_left()[0]),
         norm_drift=drift,
     )
@@ -510,11 +513,11 @@ def _block_ranges(n_trajectories: int) -> list[tuple[int, int]]:
     ]
 
 
-def _block_task(args) -> tuple[dict, np.ndarray, float]:
+def _block_task(args) -> tuple[np.ndarray, np.ndarray, float]:
     """Trajectories lo..hi-1 of every member against their shared noise streams.
 
-    Returns the block's record sums, the final P_left as a (members, hi - lo)
-    array, and the block's norm drift.
+    Returns the block's record sums as a (7, records) array, the final P_left
+    as a (members, hi - lo) array, and the block's norm drift.
     """
     cfg, lo, hi, initials, record_steps, pulse, pulse_boundary = args
     streams = [
@@ -539,7 +542,7 @@ def _run_blocks(
     record_steps: np.ndarray,
     pulse: Optional[PulseSpec],
     workers: Optional[int],
-) -> tuple[dict, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Run every block of cfg.n_trajectories and merge the blocks in block order.
 
     The pulse boundary is resolved before any block runs.  Returns the record
@@ -552,10 +555,7 @@ def _run_blocks(
         for lo, hi in _block_ranges(cfg.n_trajectories)
     ]
     results = _map_blocks(_block_task, tasks, resolve_workers(workers))
-    sums = {key: np.zeros_like(value) for key, value in results[0][0].items()}
-    for block_sums, _, _ in results:
-        for key, value in block_sums.items():
-            sums[key] += value
+    sums = sum(block_sums for block_sums, _, _ in results)
     finals = np.concatenate([block_finals for _, block_finals, _ in results], axis=1)
     drift = _check_drift(max(block_drift for _, _, block_drift in results), cfg.n_steps)
     return sums, finals, drift
@@ -586,10 +586,13 @@ def run_ensemble(
     """
     n = cfg.n_trajectories
     sums, finals, drift = _run_blocks(cfg, [initial], cfg.record_steps(), pulse, workers)
-    mean_p, se_p = _sums_mean_se(sums["p"], sums["p_sq"], n)
-    mean_p_sq, se_p_sq = _sums_mean_se(sums["p_sq"], sums["p_4"], n)
-    _, se_re = _sums_mean_se(sums["coh"].real, sums["coh_re_sq"], n)
-    _, se_im = _sums_mean_se(sums["coh"].imag, sums["coh_im_sq"], n)
+    p, re, im, p_sq, re_sq, im_sq, p_4 = sums
+    mean_p, se_p = _sums_mean_se(p, p_sq, n)
+    mean_p_sq, se_p_sq = _sums_mean_se(p_sq, p_4, n)
+    _, se_re = _sums_mean_se(re, re_sq, n)
+    _, se_im = _sums_mean_se(im, im_sq, n)
+    coh = re.astype(complex)
+    coh.imag = im
 
     return EnsembleResult(
         params=cfg.params,
@@ -599,7 +602,7 @@ def run_ensemble(
         se_p_left=se_p,
         mean_p_left_sq=mean_p_sq,
         se_p_left_sq=se_p_sq,
-        mean_offdiag=sums["coh"] / n,
+        mean_offdiag=coh / n,
         se_offdiag_re=se_re,
         se_offdiag_im=se_im,
         final_p_left=finals[0],
