@@ -108,12 +108,10 @@ class MomentSpec:
         return self.n_left + self.n_right
 
 
-def _as_probability(value: complex) -> float:
-    if abs(value.imag) > _REAL_TOL:
-        raise ArithmeticError(f"moment not real within {_REAL_TOL}: {value!r}")
-    if not (-_REAL_TOL <= value.real <= 1.0 + _REAL_TOL):
+def _as_probability(value: float) -> float:
+    if not (-_REAL_TOL <= value <= 1.0 + _REAL_TOL):
         raise ArithmeticError(f"moment outside [0, 1] within {_REAL_TOL}: {value!r}")
-    return min(1.0, max(0.0, value.real))
+    return min(1.0, max(0.0, value))
 
 
 def _turn(ell: int) -> np.ndarray:

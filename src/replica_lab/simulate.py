@@ -45,6 +45,7 @@ REPLICA_LAB_THREADS environment variable (0 = auto, unset = serial).
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -254,13 +255,12 @@ class _StateBlock:
     """Bloch vectors of one trajectory block, one column each, plus the sums of its records.
 
     ``s`` is one trajectory-major (members * n, 3) array, so x, y and z of a
-    column are adjacent; ``r = s.T`` is its (3, members * n) view, column by
-    column, and ``w`` and ``u`` are its complex views x + iy and y + iz, at
-    byte offsets 0 and 8 with a stride of three doubles.  The members of a
-    pair sit side by side: column ``k * n + i`` is trajectory i of member k,
-    and every member of trajectory i consumes trajectory i's noise.  The
-    pulse acts on the last member (run B of a pair) at step boundary
-    ``pulse_boundary``, which ``_pulse_boundary`` resolves.
+    column are adjacent (row ``s[i]`` is column i), and ``w`` and ``u`` are
+    its complex views x + iy and y + iz, at byte offsets 0 and 8 with a
+    stride of three doubles.  The members of a pair sit side by side: column
+    ``k * n + i`` is trajectory i of member k, and every member of trajectory
+    i consumes trajectory i's noise.  The pulse acts on the last member (run
+    B of a pair) at step boundary ``pulse_boundary``, -1 without a pulse.
     """
 
     def __init__(
@@ -273,17 +273,16 @@ class _StateBlock:
     ):
         self.n = n
         self.s = np.repeat(np.stack([_bloch(s) for s in initials]), n, axis=0)
-        self.r = self.s.T
         width = len(self.s)
         self.w, self.u = (
             np.ndarray((width,), complex, self.s, offset, (self.s.strides[0],)) for offset in (0, 8)
         )
         self.record_steps = record_steps
         self.pulse_boundary = pulse_boundary
-        # rotation of (x, y) by 2 phi.  fmod is exact: phi = +-pi gives an
-        # angle of exactly 0, and |phi| < pi is left unchanged.
+        # rotation of (x, y) by 2 phi.  fmod is exact: phi = +-pi gives an angle
+        # of exactly 0, so a factor of exactly 1 + 0i, and |phi| < pi is left unchanged.
         angle = 2.0 * math.fmod(pulse.delta_phi, math.pi) if pulse else 0.0
-        self.pulse_factor = _unit(angle)
+        self.pulse_factor = cmath.rect(1.0, angle)
         # per record: sums over the columns of P_left, a b* as (re, im), their
         # squares and P_left^4; _terms holds the terms of one record
         self.sums, self._terms = np.zeros((7, len(record_steps))), np.empty((7, width))
@@ -302,7 +301,7 @@ class _StateBlock:
         if self._ptr < len(self.record_steps) and self.record_steps[self._ptr] == boundary:
             t = self._terms
             t[0] = self.p_left()
-            np.multiply(0.5, self.r[:2], out=t[1:3])
+            np.multiply(0.5, self.s[:, :2].T, out=t[1:3])
             np.square(t[:3], out=t[3:6])
             np.power(t[0], 4, out=t[6])
             # in column order, not np.sum's pairwise order: fixed-seed outputs keep their bits
@@ -311,7 +310,7 @@ class _StateBlock:
 
     def p_left(self) -> np.ndarray:
         """P_left = (1 + z)/2 of every column."""
-        return 0.5 * (1.0 + self.r[2])
+        return 0.5 * (1.0 + self.s[:, 2])
 
     def norm_drift(self, path: np.ndarray, norm_sq: np.ndarray) -> None:
         """Fold max | |r|^2 - 1 | over a (steps, width, 3) path into ``drift``.
@@ -323,11 +322,6 @@ class _StateBlock:
         np.add(norm_sq, path[..., 2], out=norm_sq)
         # max |v - 1| is max(max v - 1, 1 - min v): rounding is monotone
         self.drift = max(self.drift, float(norm_sq.max()) - 1.0, 1.0 - float(norm_sq.min()))
-
-
-def _pulse_boundary(pulse: Optional[PulseSpec], cfg: SimConfig) -> int:
-    """The step boundary nearest pulse.t0, or -1 without a pulse; rejects t0 past t_final."""
-    return -1 if pulse is None else cfg.boundary(pulse.t0)
 
 
 def _kick_slabs(streams: Sequence, n: int, n_steps: int, kick: float) -> Iterator[np.ndarray]:
@@ -369,11 +363,6 @@ def _kick_table(t: np.ndarray, kicks: np.ndarray, t_sq: np.ndarray, denom: np.nd
     np.divide(t, denom, out=kicks.imag)
 
 
-def _unit(angle: float) -> np.complex128:
-    """e^{i angle} as cos + i sin: exactly 1 + 0i at angle 0."""
-    return np.complex128(complex(math.cos(angle), math.sin(angle)))
-
-
 def _turn(view: np.ndarray, factor, scratch: np.ndarray) -> None:
     """view <- factor * view: a complex scalar, or a kick row that broadcasts over members.
 
@@ -405,7 +394,7 @@ def _advance(
         return
     n = block.n
     half, full = 0.5 * params.delta * dt, params.delta * dt
-    f_half, f_full = _unit(half), _unit(full)
+    f_half, f_full = cmath.rect(1.0, half), cmath.rect(1.0, full)
     kick = math.sqrt(0.5 * params.gamma * dt)
 
     # views with one row per member, so that one (n,) kick row broadcasts
@@ -468,7 +457,7 @@ def step(state: SpinState, params: ModelParams, dt: float, gauss: float) -> Spin
     _check_real("dt", dt, 0, strict=True)
     block = _StateBlock(1, [state], np.empty(0, dtype=int))
     _advance(params, dt, 1, [_GivenNormals(np.array([float(gauss)]))], block)
-    return _spin_state(block.r[:, 0])
+    return _spin_state(block.s[0])
 
 
 def run_trajectory(
@@ -478,11 +467,12 @@ def run_trajectory(
     pulse: Optional[PulseSpec] = None,
 ) -> TrajectoryResult:
     """Evolve one noise realization, recording P_left on the grid."""
-    block = _StateBlock(1, [initial], cfg.record_steps(), pulse, _pulse_boundary(pulse, cfg))
+    boundary = cfg.boundary(pulse.t0) if pulse else -1
+    block = _StateBlock(1, [initial], cfg.record_steps(), pulse, boundary)
     _advance(cfg.params, cfg.dt, cfg.n_steps, [stream], block)
     drift = _check_drift(block.drift, cfg.n_steps)
     return TrajectoryResult(
-        final_state=_spin_state(block.r[:, 0]),
+        final_state=_spin_state(block.s[0]),
         times=cfg.record_times(),
         p_left_series=block.sums[0],
         final_p_left=float(block.p_left()[0]),
@@ -506,13 +496,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers or os.cpu_count() or 1
 
 
-def _block_ranges(n_trajectories: int) -> list[tuple[int, int]]:
-    return [
-        (lo, min(lo + BLOCK_TRAJECTORIES, n_trajectories))
-        for lo in range(0, n_trajectories, BLOCK_TRAJECTORIES)
-    ]
-
-
 def _block_task(args) -> tuple[np.ndarray, np.ndarray, float]:
     """Trajectories lo..hi-1 of every member against their shared noise streams.
 
@@ -532,6 +515,8 @@ def _block_task(args) -> tuple[np.ndarray, np.ndarray, float]:
 def _map_blocks(worker, tasks, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
+    # forked workers inherit numpy.random rather than each loading it for its first block
+    import numpy.random  # noqa: F401
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 
@@ -549,10 +534,11 @@ def _run_blocks(
     sums, the finals as a (members, n_trajectories) array and the checked
     norm drift; the merge order makes them bit-identical for any worker count.
     """
-    boundary = _pulse_boundary(pulse, cfg)
+    n = cfg.n_trajectories
+    boundary = cfg.boundary(pulse.t0) if pulse else -1
     tasks = [
-        (cfg, lo, hi, initials, record_steps, pulse, boundary)
-        for lo, hi in _block_ranges(cfg.n_trajectories)
+        (cfg, lo, min(lo + BLOCK_TRAJECTORIES, n), initials, record_steps, pulse, boundary)
+        for lo in range(0, n, BLOCK_TRAJECTORIES)
     ]
     results = _map_blocks(_block_task, tasks, resolve_workers(workers))
     sums = sum(block_sums for block_sums, _, _ in results)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,15 +439,20 @@ class TestBlochKernel:
         assert abs(traj.final_p_left - p_left[-1]) < 1e-12
 
     def test_bit_identical_across_block_widths(self):
-        # one full block plus a partial block of 6, over more than one noise
-        # chunk; the bulk kick tables must not depend on the block width
+        # one full block plus a partial block of 6, or of one trajectory (the
+        # 1-d view of a width-1 block), over more than one noise chunk; the
+        # bulk kick tables must not depend on the block width
         params = ModelParams(delta=1.0, gamma=1.0)
-        cfg = SimConfig(params=params, dt=0.01, t_final=41.3, seed=67, n_trajectories=1030)
+        one_block = SimConfig(params=params, dt=0.01, t_final=41.3, seed=67, n_trajectories=1024)
         pulse = PulseSpec(0.7, 17.31)
-        ens = run_ensemble(cfg, RANDOM, pulse)
-        for i in (0, 63, 64, 1023, 1024, 1029):
-            traj = run_trajectory(cfg, NoiseStream(67, i), RANDOM, pulse)
-            assert ens.final_p_left[i] == traj.final_p_left
+        full = run_ensemble(one_block, RANDOM, pulse).final_p_left
+        for n_trajectories in (1030, 1025):
+            cfg = replace(one_block, n_trajectories=n_trajectories)
+            ens = run_ensemble(cfg, RANDOM, pulse)
+            for i in sorted({0, 63, 64, 1023, 1024, n_trajectories - 1}):
+                traj = run_trajectory(cfg, NoiseStream(67, i), RANDOM, pulse)
+                assert ens.final_p_left[i] == traj.final_p_left
+            assert np.array_equal(ens.final_p_left[:1024], full)
 
     @pytest.mark.parametrize("members", [1, 2])
     def test_turn_is_bit_identical_across_widths(self, members):
