@@ -19,13 +19,17 @@ must be whole (records, the pulse, the last step).  A block keeps its Bloch
 vectors trajectory-major, one (x, y, z) row each, so that x + iy and y + iz
 are two complex views of the same memory: the kick rotation of (x, y) by
 alpha is one complex multiply of the first by e^{i alpha}, a tunneling
-rotation of (y, z) by beta one multiply of the second by e^{i beta}.  The
-kick factors come from bulk tables.  ``SpinState`` appears only at the API
-boundary.  A block's working memory is bounded whatever its run length and
-number of record times: kick half-angles go step-major into one slab of at
-most 256 steps, a paired block's members share one table of kick factors, and
-each record is summed over the columns when taken; a block of 1024
-trajectories needs about 3 MB beyond its state and record sums.
+rotation of (y, z) by beta one multiply of the second by e^{i beta}.  Rows
+of two or more trajectories are multiplied in place; a one-element row (a
+block of one trajectory per member) goes through a contiguous scratch and is
+copied back, because numpy's in-place multiply on one strided element takes
+another loop and changes the last bits.  The kick factors come from bulk
+tables.  ``SpinState`` appears only at the API boundary.  A block's working
+memory is bounded whatever its run length and number of record times: kick
+half-angles go step-major into one slab of at most 256 steps, a paired
+block's members share one table of kick factors, and each record is summed
+over the columns when taken; a block of 1024 trajectories needs about 3 MB
+beyond its state and record sums.
 
 Noise streams are counter-based and keyed per group of 64 trajectories:
 trajectory i reads column i % 64 of the standard normals of Philox keyed by
@@ -40,7 +44,7 @@ Trajectories are embarrassingly parallel; ensembles run in fixed blocks of
 1024 trajectories, vectorized across the block, and blocks may be dispatched
 to a process pool.  Partial sums are combined in block order, so results do
 not depend on the degree of parallelism.  The worker count comes from the
-REPLICA_LAB_THREADS environment variable (0 = auto, unset = serial).
+REPLICA_LAB_THREADS environment variable (0 = one per usable CPU, unset = serial).
 """
 
 from __future__ import annotations
@@ -297,7 +301,8 @@ class _StateBlock:
     def at_boundary(self, boundary: int) -> None:
         if self.pulse_boundary == boundary:
             # on a localized state x + iy = 0, so the turn leaves it exactly unchanged
-            _turn(self.w[-self.n :], self.pulse_factor, np.empty(self.n, complex))
+            scratch = np.empty(1, complex) if self.n == 1 else None
+            _turn(self.w[-self.n :], self.pulse_factor, scratch)
         if self._ptr < len(self.record_steps) and self.record_steps[self._ptr] == boundary:
             t = self._terms
             t[0] = self.p_left()
@@ -363,16 +368,21 @@ def _kick_table(t: np.ndarray, kicks: np.ndarray, t_sq: np.ndarray, denom: np.nd
     np.divide(t, denom, out=kicks.imag)
 
 
-def _turn(view: np.ndarray, factor, scratch: np.ndarray) -> None:
+def _turn(view: np.ndarray, factor, scratch: Optional[np.ndarray]) -> None:
     """view <- factor * view: a complex scalar, or a kick row that broadcasts over members.
 
-    The product goes through the contiguous ``scratch`` and is copied back,
-    never in place: numpy's in-place multiply on the strided view takes a
-    plain loop for one element and a fused multiply-add loop for more, so
-    its results would depend on the block width.
+    Rows of two or more elements are multiplied in place.  A one-element row
+    (one trajectory per member) goes through the contiguous ``scratch``, of
+    the view's shape, and is copied back: numpy's in-place multiply on a
+    one-element strided row takes a plain loop, not the fused multiply-add
+    loop of wider rows, and would change the last bits, so a block of one
+    trajectory would no longer equal its column of a wide block.
     """
-    np.multiply(view, factor, out=scratch)
-    view[...] = scratch
+    if view.shape[-1] > 1:
+        np.multiply(view, factor, out=view)
+    else:
+        np.multiply(view, factor, out=scratch)
+        view[...] = scratch
 
 
 def _advance(
@@ -382,8 +392,11 @@ def _advance(
 
     One step is a tunneling rotation of (y, z) by delta*dt/2, a kick rotation
     of (x, y) by 2*kick*g, and another half rotation, each one ``_turn`` of
-    the block's complex view y + iz or x + iy.  The closing half of a step
-    and the opening half of the next merge into one full rotation; the
+    the block's complex view y + iz or x + iy: in place when the block has
+    two or more trajectories per member, else through a scratch array of
+    the view's shape, allocated only then, so that a block of one trajectory
+    keeps the bits of its column in a wide block.  The closing half of a
+    step and the opening half of the next merge into one full rotation; the
     halves stay apart only around a stop (record, pulse, last step).  Kick
     factors come from a bulk table of _TRIG_STEPS steps, one (n,) row per
     step that broadcasts over the members, and the state after every step is
@@ -404,7 +417,7 @@ def _advance(
     width = len(block.s)
     shape = (width // n, n) if width > n else (width,)
     w, u = block.w.reshape(shape), block.u.reshape(shape)
-    scratch = np.empty(shape, complex)
+    scratch = np.empty(shape, complex) if n == 1 else None  # see _turn
     rows = min(_TRIG_STEPS, n_steps)
     kicks = np.empty((rows, n), complex)
     t_sq, denom = np.empty((rows, n)), np.empty((rows, n))
@@ -481,19 +494,28 @@ def run_trajectory(
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else REPLICA_LAB_THREADS (0 = auto), else 1."""
+    """Worker count: explicit argument, else REPLICA_LAB_THREADS, else 1.
+
+    0, as argument or variable, means one worker per usable CPU: the CPUs in
+    this process's affinity set (under ``taskset -c 0``, one), not every CPU
+    of the machine.
+    """
     if workers is None:
         env = os.environ.get("REPLICA_LAB_THREADS", "").strip()
         if not env:
             return 1
         if not env.isdecimal():
             raise ValueError(
-                f"REPLICA_LAB_THREADS must be a whole number >= 0 (0 = one worker per CPU), "
-                f"got {env!r}"
+                "REPLICA_LAB_THREADS must be a whole number >= 0 "
+                f"(0 = one worker per usable CPU), got {env!r}"
             )
         workers = int(env)
     _check_int("worker count", workers, 0)
-    return workers or os.cpu_count() or 1
+    if workers:
+        return workers
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _block_task(args) -> tuple[np.ndarray, np.ndarray, float]:

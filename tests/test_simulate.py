@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -329,6 +330,14 @@ class TestRunEnsemble:
             with pytest.raises(ValueError, match="worker count"):
                 sim.resolve_workers(workers)
 
+    def test_auto_workers_count_usable_cpus(self, monkeypatch):
+        # under taskset -c 0 the process may use one CPU of many
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("REPLICA_LAB_THREADS", "0")
+        assert sim.resolve_workers() == 1
+        assert sim.resolve_workers(0) == 1
+
     @pytest.mark.parametrize("value", ["abc", "-2", "1.5"])
     def test_workers_env_rejects_non_counts(self, monkeypatch, value):
         monkeypatch.setenv("REPLICA_LAB_THREADS", value)
@@ -601,18 +610,21 @@ class TestRunPairedEnsemble:
         pulsed = run_trajectory(cfg, NoiseStream(53, 0), state, PulseSpec(phi, 0.0))
         assert np.array_equal(plain.p_left_series, pulsed.p_left_series)
 
-    def test_members_match_single_trajectories(self):
+    @pytest.mark.parametrize("n_trajectories", [2100, 2049])
+    def test_members_match_single_trajectories(self, n_trajectories):
         # two whole blocks and a partial one over two draw chunks, with a pulse
         # on B at step 777: both members share one kick table, and each must
         # equal its own single-trajectory run bit for bit.  The pulse step
         # splits a merged rotation in both members, so the single runs record
-        # there and nowhere else, which splits theirs at the same step.
+        # there and nowhere else, which splits theirs at the same step.  At
+        # 2049 the last block holds one trajectory: its (2, 1) views turn
+        # through scratch while the wide blocks turn in place.
         params = ModelParams(delta=1.0, gamma=1.0)
         pulse = PulseSpec(0.9, 7.77)
-        cfg = SimConfig(params=params, dt=0.01, t_final=13.37, seed=89, n_trajectories=2100,
-                        record_grid=(pulse.t0,))
+        cfg = SimConfig(params=params, dt=0.01, t_final=13.37, seed=89,
+                        n_trajectories=n_trajectories, record_grid=(pulse.t0,))
         paired = run_paired_ensemble(cfg, PLUS, RANDOM, pulse_on_b=pulse)
-        for i in (0, 63, 64, 1023, 1024, 2099):
+        for i in (0, 63, 64, 1023, 1024, n_trajectories - 1):
             assert paired.final_p_a[i] == run_trajectory(cfg, NoiseStream(89, i), PLUS).final_p_left
             pulsed = run_trajectory(cfg, NoiseStream(89, i), RANDOM, pulse)
             assert paired.final_p_b[i] == pulsed.final_p_left
