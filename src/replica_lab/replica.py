@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from .model import (
     MAX_MOMENT_ORDER, ModelParams, SpinState, WellLabel, _bloch, _check_int, _check_real,
@@ -166,7 +165,8 @@ def _terms(bloch: np.ndarray, params: ModelParams):
     the Hermitian J_y = i (-i J_y), whose eigenvalues -l..l are distinct.
     """
     n = len(bloch)
-    cos_t, weights = legendre.leggauss(n + 1)
+    # looked up here, so a process that computes no moment never loads numpy.polynomial
+    cos_t, weights = np.polynomial.legendre.leggauss(n + 1)
     phi = 2.0 * np.pi * np.arange(2 * n + 1) / (2 * n + 1)
     sin_t = np.sqrt(1.0 - cos_t**2)[:, None]
     u = np.stack(np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t[:, None]))

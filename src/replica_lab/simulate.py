@@ -26,9 +26,9 @@ copied back, because numpy's in-place multiply on one strided element takes
 another loop and changes the last bits.  The kick factors come from bulk
 tables.  ``SpinState`` appears only at the API boundary.  A block's working
 memory is bounded whatever its run length and number of record times: kick
-half-angles go step-major into one slab of at most 256 steps, a paired
+half-angles go step-major into one slab of at most 64 steps, a paired
 block's members share one table of kick factors, and each record is summed
-over the columns when taken; a block of 1024 trajectories needs about 3 MB
+over the columns when taken; a block of 1024 trajectories needs about 1 MB
 beyond its state and record sums.
 
 Noise streams are counter-based and keyed per group of 64 trajectories:
@@ -64,13 +64,14 @@ from .stats import mean_se
 BLOCK_TRAJECTORIES = 1024
 _GROUP_WIDTH = 64  # trajectories per Philox stream; divides BLOCK_TRAJECTORIES
 # Working memory of one block, whatever its number of steps: about
-# _SLAB_STEPS + (4 + 4 * members) * _TRIG_STEPS doubles per trajectory (3 MB
-# at 1024 trajectories): the slab, the complex kick table and its two real
-# temporaries, and the state path of a table with its norm_sq, plus one
-# group's _SLAB_STEPS rows of draws, on top of the block's state and record sums
-# and whatever the process running it holds.
-_SLAB_STEPS = 256  # steps per step-major slab of kick half-angles
-_TRIG_STEPS = 16  # steps per bulk table of kick factors
+# _SLAB_STEPS + (4 + 4 * members) * _TRIG_STEPS doubles per trajectory (1 MB
+# at 1024 trajectories, 1.25 MB for a pair): the slab, the complex kick table
+# and its two real temporaries, and the state path of a table with its
+# norm_sq, plus one group's _SLAB_STEPS rows of draws, on top of the block's
+# state and record sums and whatever the process running it holds.  Both
+# sizes only chunk the same arithmetic, so no output depends on them.
+_SLAB_STEPS = 64  # steps per step-major slab of kick half-angles
+_TRIG_STEPS = 8  # steps per bulk table of kick factors
 
 _DRIFT_BUDGET_PER_STEP = 1e-12
 
@@ -198,8 +199,7 @@ class NoiseStream:
         if rest:
             raise ValueError(f"count must be a multiple of width={self.width}, got {count}")
         draws = self._gen.standard_normal(rows * _GROUP_WIDTH)
-        if self.width == _GROUP_WIDTH:
-            return draws
+        # a whole group's columns are contiguous, so ravel returns a view, not a copy
         return draws.reshape(rows, _GROUP_WIDTH)[:, self._col : self._col + self.width].ravel()
 
 

@@ -534,6 +534,8 @@ class TestImports:
             cross_moment(samples, 1, 1)
             histogram(samples)
             ks_uniform(samples)
+            # replica loads numpy.polynomial at its first moment, not at import
+            assert "numpy.polynomial" not in sys.modules
             value = finite_time_moment(MomentSpec(left, 2, 1), params, 0.7)
             pair = [(left, WellLabel.LEFT), (right, WellLabel.RIGHT)]
             mixed = mixed_initial_moment(pair, params, 0.7)
