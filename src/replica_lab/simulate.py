@@ -19,17 +19,19 @@ must be whole (records, the pulse, the last step).  A block keeps its Bloch
 vectors trajectory-major, one (x, y, z) row each, so that x + iy and y + iz
 are two complex views of the same memory: the kick rotation of (x, y) by
 alpha is one complex multiply of the first by e^{i alpha}, a tunneling
-rotation of (y, z) by beta one multiply of the second by e^{i beta}.  Rows
-of two or more trajectories are multiplied in place; a one-element row (a
-block of one trajectory per member) goes through a contiguous scratch and is
-copied back, because numpy's in-place multiply on one strided element takes
-another loop and changes the last bits.  The kick factors come from bulk
-tables.  ``SpinState`` appears only at the API boundary.  A block's working
-memory is bounded whatever its run length and number of record times: kick
-half-angles go step-major into one slab of at most 64 steps, a paired
-block's members share one table of kick factors, and each record is summed
-over the columns when taken; a block of 1024 trajectories needs about 1 MB
-beyond its state and record sums.
+rotation of (y, z) by beta one multiply of the second by e^{i beta}.  A
+step's kick row turns the flat x + iy view of each member, a tunneling
+factor the whole block's y + iz.  Views of two or more elements are turned in
+place; a one-element view goes through a contiguous scratch and is copied
+back, because numpy's in-place multiply on one strided element takes another
+loop and changes the last bits.  So a pair of one trajectory per member turns
+its kicks through the scratch and its two-element tunneling view in place.
+The kick factors come from bulk tables.  ``SpinState`` appears only at the
+API boundary.  A block's working memory is bounded whatever its run length
+and number of record times: kick half-angles go step-major into one slab of
+at most 64 steps, a paired block's members share one table of kick factors,
+and each record is summed over the columns when taken; a block of 1024
+trajectories needs about 1 MB beyond its state and record sums.
 
 Noise streams are counter-based and keyed per group of 64 trajectories:
 trajectory i reads column i % 64 of the standard normals of Philox keyed by
@@ -263,7 +265,9 @@ class _StateBlock:
     its complex views x + iy and y + iz, at byte offsets 0 and 8 with a
     stride of three doubles.  The members of a pair sit side by side: column
     ``k * n + i`` is trajectory i of member k, and every member of trajectory
-    i consumes trajectory i's noise.  The pulse acts on the last member (run
+    i consumes trajectory i's noise.  ``members`` holds the flat (n,) view of
+    ``w`` of each member, and ``scratch`` the one-element scratch of
+    ``_turn`` when n == 1, else None.  The pulse acts on the last member (run
     B of a pair) at step boundary ``pulse_boundary``, -1 without a pulse.
     """
 
@@ -281,6 +285,8 @@ class _StateBlock:
         self.w, self.u = (
             np.ndarray((width,), complex, self.s, offset, (self.s.strides[0],)) for offset in (0, 8)
         )
+        self.members = [self.w[k : k + n] for k in range(0, width, n)]
+        self.scratch = np.empty(1, complex) if n == 1 else None  # see _turn
         self.record_steps = record_steps
         self.pulse_boundary = pulse_boundary
         # rotation of (x, y) by 2 phi.  fmod is exact: phi = +-pi gives an angle
@@ -301,8 +307,7 @@ class _StateBlock:
     def at_boundary(self, boundary: int) -> None:
         if self.pulse_boundary == boundary:
             # on a localized state x + iy = 0, so the turn leaves it exactly unchanged
-            scratch = np.empty(1, complex) if self.n == 1 else None
-            _turn(self.w[-self.n :], self.pulse_factor, scratch)
+            _turn(self.members[-1], self.pulse_factor, self.scratch)
         if self._ptr < len(self.record_steps) and self.record_steps[self._ptr] == boundary:
             t = self._terms
             t[0] = self.p_left()
@@ -369,16 +374,16 @@ def _kick_table(t: np.ndarray, kicks: np.ndarray, t_sq: np.ndarray, denom: np.nd
 
 
 def _turn(view: np.ndarray, factor, scratch: Optional[np.ndarray]) -> None:
-    """view <- factor * view: a complex scalar, or a kick row that broadcasts over members.
+    """view <- factor * view on a flat view: a complex scalar, or a member's kick row.
 
-    Rows of two or more elements are multiplied in place.  A one-element row
-    (one trajectory per member) goes through the contiguous ``scratch``, of
-    the view's shape, and is copied back: numpy's in-place multiply on a
-    one-element strided row takes a plain loop, not the fused multiply-add
-    loop of wider rows, and would change the last bits, so a block of one
+    Views of two or more elements are multiplied in place.  A one-element
+    view (one trajectory per member) goes through the contiguous one-element
+    ``scratch`` and is copied back: numpy's in-place multiply on a
+    one-element strided view takes a plain loop, not the fused multiply-add
+    loop of wider views, and would change the last bits, so a block of one
     trajectory would no longer equal its column of a wide block.
     """
-    if view.shape[-1] > 1:
+    if len(view) > 1:
         np.multiply(view, factor, out=view)
     else:
         np.multiply(view, factor, out=scratch)
@@ -391,16 +396,15 @@ def _advance(
     """March a block through n_steps Strang steps; stream j feeds columns 64 j.. of every member.
 
     One step is a tunneling rotation of (y, z) by delta*dt/2, a kick rotation
-    of (x, y) by 2*kick*g, and another half rotation, each one ``_turn`` of
-    the block's complex view y + iz or x + iy: in place when the block has
-    two or more trajectories per member, else through a scratch array of
-    the view's shape, allocated only then, so that a block of one trajectory
-    keeps the bits of its column in a wide block.  The closing half of a
-    step and the opening half of the next merge into one full rotation; the
-    halves stay apart only around a stop (record, pulse, last step).  Kick
-    factors come from a bulk table of _TRIG_STEPS steps, one (n,) row per
-    step that broadcasts over the members, and the state after every step is
-    kept for a bulk norm check at the end of the table.
+    of (x, y) by 2*kick*g, and another half rotation.  A tunneling rotation
+    is one ``_turn`` of the block's flat y + iz, a kick rotation one of each
+    member's flat x + iy by that step's (n,) row of a bulk table of
+    _TRIG_STEPS steps; one-element views go through the block's scratch, so
+    that a block of one trajectory keeps the bits of its column in a wide
+    block.  The closing half of a step and the opening half of the next
+    merge into one full rotation; the halves stay apart only around a stop
+    (record, pulse, last step).  The state after every step is kept for a
+    bulk norm check at the end of the table.
     """
     block.at_boundary(0)
     if n_steps == 0:
@@ -410,19 +414,12 @@ def _advance(
     f_half, f_full = cmath.rect(1.0, half), cmath.rect(1.0, full)
     kick = math.sqrt(0.5 * params.gamma * dt)
 
-    # views with one row per member, so that one (n,) kick row broadcasts
-    # over them.  One member stays 1-d: numpy's loops are faster there, and a
-    # (1, 1) view changes the last bits, so run_trajectory would no longer
-    # equal its column of an ensemble
-    width = len(block.s)
-    shape = (width // n, n) if width > n else (width,)
-    w, u = block.w.reshape(shape), block.u.reshape(shape)
-    scratch = np.empty(shape, complex) if n == 1 else None  # see _turn
+    u, members, scratch = block.u, block.members, block.scratch
     rows = min(_TRIG_STEPS, n_steps)
     kicks = np.empty((rows, n), complex)
     t_sq, denom = np.empty((rows, n)), np.empty((rows, n))
     path = np.empty((rows,) + block.s.shape)  # the state after each step of the table
-    norm_sq = np.empty((rows, width))
+    norm_sq = np.empty((rows, len(block.s)))
     stops = iter(block.stops(n_steps))
     stop = next(stops)
     whole = True  # the state sits on a step boundary: open with a half rotation
@@ -435,7 +432,8 @@ def _advance(
             for j in range(m):
                 if whole:
                     _turn(u, f_half, scratch)
-                _turn(w, kicks[j], scratch)
+                for member in members:
+                    _turn(member, kicks[j], scratch)
                 k += 1
                 whole = k == stop
                 if whole:

@@ -468,8 +468,9 @@ class TestBlochKernel:
     @pytest.mark.parametrize("members", [1, 2])
     def test_turn_is_bit_identical_across_widths(self, members):
         # every column of a 1024-wide turn must equal the same turn on a block
-        # of width 1, for a kick row broadcast over the members, the scalar
-        # tunneling factors and the pulse factor, on both complex views
+        # of width 1, on the kernel's own views: the kick row on each member's
+        # flat x + iy, the scalar tunneling and pulse factors on the flat
+        # y + iz, the flat x + iy and the last member's x + iy
         n = 1024
         rng = np.random.default_rng(97)
         start = rng.standard_normal((members * n, 3))
@@ -477,20 +478,28 @@ class TestBlochKernel:
         kicks = np.empty((1, n), complex)
         sim._kick_table(0.1 * rng.standard_normal((1, n)), kicks, np.empty((1, n)), np.empty((1, n)))
         pulse = sim._StateBlock(1, [PLUS], np.empty(0, dtype=int), PulseSpec(0.7, 0.0))
-        factors = [kicks[0], np.complex128(complex(math.cos(0.3), math.sin(0.3))),
-                   pulse.pulse_factor]
-        shape = (members, n) if members > 1 else (n,)
-        for view in ("w", "u"):
-            for factor in factors:
-                wide = sim._StateBlock(n, [PLUS] * members, np.empty(0, dtype=int))
-                wide.s[...] = start
-                sim._turn(getattr(wide, view).reshape(shape), factor, np.empty(shape, complex))
-                for col in range(members * n):
-                    one = sim._StateBlock(1, [PLUS], np.empty(0, dtype=int))
-                    one.s[...] = start[col]
-                    own = factor[col % n : col % n + 1] if np.ndim(factor) else factor
-                    sim._turn(getattr(one, view), own, np.empty(1, complex))
-                    assert np.array_equal(one.s[0], wide.s[col]), (view, col)
+        scalars = [np.complex128(complex(math.cos(0.3), math.sin(0.3))), pulse.pulse_factor]
+
+        def block(width, rows):
+            b = sim._StateBlock(width, [PLUS] * (len(rows) // width), np.empty(0, dtype=int))
+            b.s[...] = rows
+            return b
+
+        def views(b, name):
+            return {"members": b.members, "u": [b.u], "w": [b.w], "last": b.members[-1:]}[name]
+
+        turns = [("members", kicks[0])] + [(name, f) for f in scalars for name in ("u", "w", "last")]
+        for name, factor in turns:
+            wide = block(n, start)
+            for view in views(wide, name):
+                sim._turn(view, factor, wide.scratch)
+            for col in range(members * n):
+                one = block(1, start[col : col + 1])
+                own = factor[col % n : col % n + 1] if np.ndim(factor) else factor
+                if name != "last" or col >= (members - 1) * n:
+                    (view,) = views(one, name)
+                    sim._turn(view, own, one.scratch)
+                assert np.array_equal(one.s[0], wide.s[col]), (name, col)
 
     def test_working_memory_does_not_grow_with_run_length(self):
         # one block of 1024 trajectories x 3000 steps: draws held for the
@@ -499,7 +508,9 @@ class TestBlochKernel:
         # record at every step, per-trajectory records took 94.7 MiB, sums
         # taken at each record 4.3 MiB.  The three runs below peaked at
         # 3.35/3.64/3.92 MiB with 256-step slabs and 16-step kick tables, and
-        # at 1.16/1.45/1.49 MiB with 64-step slabs and 8-step tables
+        # at 1.16/1.45/1.49 MiB with 64-step slabs and 8-step tables.  Each is
+        # traced on its second run: in a fresh process the first run of the
+        # first one also loads numpy.random and peaked at 1.88 MiB
         params = ModelParams(delta=1.0, gamma=1.0)
         cfg = SimConfig(params=params, dt=1e-3, t_final=3.0, seed=79, n_trajectories=1024)
         every_step = SimConfig(
@@ -512,6 +523,7 @@ class TestBlochKernel:
             lambda: run_paired_ensemble(cfg, LEFT, PLUS, pulse_on_b=PulseSpec(0.4, 1.5), workers=1),
         )
         for run in runs:
+            run()
             tracemalloc.start()
             try:
                 run()
@@ -621,8 +633,9 @@ class TestRunPairedEnsemble:
         # equal its own single-trajectory run bit for bit.  The pulse step
         # splits a merged rotation in both members, so the single runs record
         # there and nowhere else, which splits theirs at the same step.  At
-        # 2049 the last block holds one trajectory: its (2, 1) views turn
-        # through scratch while the wide blocks turn in place.
+        # 2049 the last block holds one trajectory: its kick turns go through
+        # scratch and its two-element tunneling view turns in place, as the
+        # wide blocks turn every view.
         params = ModelParams(delta=1.0, gamma=1.0)
         pulse = PulseSpec(0.9, 7.77)
         cfg = SimConfig(params=params, dt=0.01, t_final=13.37, seed=89,
