@@ -7,8 +7,8 @@ the left-right relative phase at dephasing rate ``gamma``.  Units fix
 hbar = 1 and the well separation q0 = 1, so the noise field variance is
 implied by gamma (``<phi^2> = 2*gamma``) and is never stored.
 
-Basis convention (fixed project-wide): the sigma_z eigenvalue +1 is the
-Right well, -1 the Left well; sigma_x maps |L> to |R> with no extra phase.
+Basis convention: a state is a|L> + b|R>, its Bloch z is P_L - P_R
+(+1 in the left well), and sigma_x maps |L> to |R> with no extra phase.
 
 This module carries the closed-form noise-averaged curves for the
 left-to-left survival probability and the averaged coherence, their
@@ -61,14 +61,10 @@ def _check_real(name: str, value: float, lo: float = -math.inf, strict: bool = F
 
 
 class WellLabel(Enum):
-    """Which well a localized basis state sits in (sigma_z = -1 is Left)."""
+    """Which well a localized basis state sits in."""
 
     LEFT = "left"
     RIGHT = "right"
-
-    @property
-    def sigma_z(self) -> int:
-        return +1 if self is WellLabel.RIGHT else -1
 
 
 class Branch(Enum):
@@ -170,12 +166,13 @@ def closed_form_p_ll(params: ModelParams, t: float) -> float:
     _check_real("time", t, 0)
     if t == 0.0:
         return 1.0
-    gamma = params.gamma
+    gamma, delta = params.gamma, params.delta
     if classify_branch(params) is Branch.CRITICAL:
         return min(1.0, max(0.0, 0.5 + math.exp(-0.5 * gamma * t) * (0.5 + 0.25 * gamma * t)))
     root = cmath.sqrt(complex(params.discriminant))
-    term_plus = cmath.exp(0.5 * t * (-gamma + root)) * (gamma + root) / (4.0 * root)
-    term_minus = cmath.exp(-0.5 * t * (gamma + root)) * (-gamma + root) / (4.0 * root)
+    slow = -4.0 * delta**2 / (gamma + root)  # root - gamma, which cancels at gamma >> delta
+    term_plus = cmath.exp(0.5 * t * slow) * (gamma + root) / (4.0 * root)
+    term_minus = cmath.exp(-0.5 * t * (gamma + root)) * slow / (4.0 * root)
     value = 0.5 + term_plus + term_minus
     if abs(value.imag) > _REALNESS_TOL:
         raise ArithmeticError(
@@ -196,8 +193,9 @@ def closed_form_offdiag(params: ModelParams, t: float) -> complex:
     if classify_branch(params) is Branch.CRITICAL:
         return -0.5j * delta * t * math.exp(-0.5 * gamma * t)
     root = cmath.sqrt(complex(params.discriminant))
+    slow = -4.0 * delta**2 / (gamma + root)  # root - gamma, which cancels at gamma >> delta
     e_fast = cmath.exp(-0.5 * t * (gamma + root))
-    e_slow = cmath.exp(-0.5 * t * (gamma - root))
+    e_slow = cmath.exp(0.5 * t * slow)
     return (0.5j * delta / root) * (e_fast - e_slow)
 
 

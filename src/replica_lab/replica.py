@@ -10,22 +10,29 @@ average of F(u) = prod_k (1 +- u.r_k)/2, a polynomial of degree n in u.
 Averaged over the noise, a function of the Bloch vector evolves under
 L = -i delta J_x - gamma J_z^2: tunneling turns the sphere about x and the
 kicks diffuse the azimuth about z.  Both terms keep the harmonic degree l, so
-L splits into blocks -(i delta/2)(J+ + J-) - gamma diag(m^2) of dimension
-2l + 1, built from the ladder matrix sqrt(l(l+1) - m(m+1)) (L. D. Favro,
+L splits into blocks -(i delta/2)(J+ + J-) - gamma diag(m^2) on |l, m>,
+m = -l..l, built from the ladder matrix sqrt(l(l+1) - m(m+1)) (L. D. Favro,
 Phys. Rev. 119, 53 (1960); A. R. Edmonds, Angular Momentum in Quantum
-Mechanics (1957)).  A quarter turn about z, diag(i^m), makes each block real:
-B_l = delta (J+^T - J+)/2 - gamma diag(m^2), where (J+^T - J+)/2 = -i J_y is
-also the generator of the turn that sets the polar angle.
+Mechanics (1957)).  A quarter turn about z, diag(i^m), makes each block
+real: delta (J+^T - J+)/2 - gamma diag(m^2), where (J+^T - J+)/2 = -i J_y
+is also the generator of the turn that sets the polar angle.
 
 Every moment goes through one harmonic projection.  Let b_l(u) be the bra of
-degree l at u: the column exp(theta_u (-i J_y))[:, l] times
-cos(m (phi_u - pi/2)), which is |l, 0> turned to u and quarter-turned.  (The
-turn gives exp(-i m (phi_u - pi/2)); entries m and -m of the real column and
-of the real evolved one differ by (-1)^m, so the sine parts cancel.)  Its
+degree l at u: the column exp(theta_u (-i J_y)) |l, 0> times
+cos(m (phi_u - pi/2)), which is |l, 0> turned to u and quarter-turned.  Its
 entries are degree-l harmonics, so c_l = (2l+1)/(4 pi) int F(u) b_l(u) dOmega
 projects out the degree-l part of F, and Funk-Hecke plus linearity give the
-moment at t as sum_l c_l @ exp(B_l t)[:, l].  A Gauss-Legendre (n + 1) times
-trapezoid (2n + 1) grid integrates the degree-2n integrand exactly.
+moment at t as sum_l c_l @ exp(B_l t) |l, 0>.  A Gauss-Legendre (n + 1)
+times trapezoid (2n + 1) grid integrates the degree-2n integrand exactly.
+
+The reflection |m> -> (-1)^m |-m> commutes with every block and fixes
+|l, 0>, and b_l(u) is even under it, since both its column and
+cos(m (phi_u - pi/2)) are even in m.  So c_l has no odd part and the orbit
+of |l, 0> never leaves the even sector, spanned by |l, 0> and
+(|m> + (-1)^m |-m>)/sqrt(2), m = 1..l.  The engine works only there: B_l
+is the (l + 1)-square even block, e_0 = |l, 0> its first basis vector, and
+every moment is sum_l c_l @ exp(B_l t) e_0.  (A step that turns a single
+function about z would leave the sector.)
 
   * Finite-time moments, of one initial state (MomentSpec) or of one state
     per replica, sum the terms.  The moment's decay rates are the
@@ -114,33 +121,22 @@ def _as_probability(value: float) -> float:
 
 
 def _turn(ell: int) -> np.ndarray:
-    """-i J_y = (J+^T - J+)/2 on |ell, m>, m = -ell..ell.
+    """-i J_y = (J+^T - J+)/2 on the even sector of degree ell.
 
-    J+ |m> = sqrt(ell(ell+1) - m(m+1)) |m+1> is the raising ladder.
+    With the raising ladder J+ |m> = a_m |m+1>, a_m = sqrt(ell(ell+1) - m(m+1)),
+    it is tridiagonal with super-diagonal a_m/2, m = 0..ell-1; the first entry
+    is times sqrt(2), because |ell, 0> has no partner in the sector.
     """
-    m = np.arange(-ell, ell, dtype=float)
-    up = np.diag(np.sqrt(ell * (ell + 1) - m * (m + 1)), -1)
-    return 0.5 * (up.T - up)
+    m = np.arange(ell, dtype=float)
+    up = 0.5 * np.sqrt(ell * (ell + 1) - m * (m + 1))
+    up[:1] *= math.sqrt(2.0)
+    return np.diag(up, 1) - np.diag(up, -1)
 
 
 def _block(ell: int, params: ModelParams) -> np.ndarray:
-    """Degree-ell block of the noise-averaged generator, made real by the quarter turn diag(i^m)."""
-    m = np.arange(-ell, ell + 1, dtype=float)
+    """Degree-ell block of the noise-averaged generator, quarter-turned by diag(i^m), on its even sector."""
+    m = np.arange(ell + 1, dtype=float)
     return params.delta * _turn(ell) - params.gamma * np.diag(m**2)
-
-
-def _even_sector(ell: int) -> np.ndarray:
-    """Orthonormal columns |0>, (|m> + (-1)^m |-m>)/sqrt(2), m = 1..ell, on |ell, m>, m = -ell..ell.
-
-    They span the +1 eigenspace of the reflection P|m> = (-1)^m |-m>, which
-    commutes with every block and fixes |ell, 0>.
-    """
-    q = np.zeros((2 * ell + 1, ell + 1))
-    q[ell, 0] = 1.0
-    m = np.arange(1, ell + 1)
-    q[ell + m, m] = math.sqrt(0.5)
-    q[ell - m, m] = (-1.0) ** m * math.sqrt(0.5)
-    return q
 
 
 def _spec_replicas(spec: MomentSpec) -> list[tuple[SpinState, WellLabel]]:
@@ -160,9 +156,10 @@ def _terms(bloch: np.ndarray, params: ModelParams):
     """(c_l, B_l) for l = 0..n: the projection of F(u) = prod_k (1 + u.bloch_k)/2 on b_l.
 
     F is sampled on the Gauss-Legendre times trapezoid grid.  The trapezoid
-    sums of F cos(m (phi - pi/2)) are one matrix product that every l shares.
-    The columns exp(theta (-i J_y))[:, l] at all nodes come from one eigh of
-    the Hermitian J_y = i (-i J_y), whose eigenvalues -l..l are distinct.
+    sums of F cos(m (phi - pi/2)), m = 0..n, are one matrix product that
+    every l shares.  The columns exp(theta (-i J_y)) e_0 at all nodes come
+    from one eigh of the Hermitian J_y = i (-i J_y), whose eigenvalues on
+    the sector are distinct.
     """
     n = len(bloch)
     # looked up here, so a process that computes no moment never loads numpy.polynomial
@@ -171,13 +168,13 @@ def _terms(bloch: np.ndarray, params: ModelParams):
     sin_t = np.sqrt(1.0 - cos_t**2)[:, None]
     u = np.stack(np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t[:, None]))
     product = np.prod(0.5 * (1.0 + np.tensordot(bloch, u, axes=1)), axis=0)
-    m = np.arange(-n, n + 1)
+    m = np.arange(n + 1)
     fourier = (weights[:, None] * (product @ np.cos(np.outer(phi - 0.5 * np.pi, m)))).T
     theta = np.arccos(cos_t)
     for ell in range(n + 1):
         eigvals, vecs = np.linalg.eigh(1j * _turn(ell))
-        columns = ((vecs * vecs[ell].conj()) @ np.exp(-1j * np.outer(eigvals, theta))).real
-        coeff = (columns * fourier[n - ell : n + ell + 1]).sum(axis=1)
+        columns = ((vecs * vecs[0].conj()) @ np.exp(-1j * np.outer(eigvals, theta))).real
+        coeff = (columns * fourier[: ell + 1]).sum(axis=1)
         yield (2 * ell + 1) / (2.0 * len(phi)) * coeff, _block(ell, params)
 
 
@@ -228,8 +225,8 @@ def moment_curve(
 ) -> np.ndarray:
     """:func:`mixed_initial_moment` at each of the non-decreasing ``times``, in one walk.
 
-    The terms are projected once; each block's column e_l is then carried
-    from one time to the next by exp(B_l h), one exponential per distinct
+    The terms are projected once; each block's column, e_0 at t = 0, is then
+    carried from one time to the next by exp(B_l h), one exponential per distinct
     gap h.  A one-time call is the walk of a single gap, so the first
     value is the one-time call's bit for bit; a later one moves from it by
     the rounding of the extra products, about 1e-15.  t = 0 gives its exact
@@ -243,11 +240,11 @@ def moment_curve(
         raise ValueError("times must be non-decreasing")
     bloch = _signed_bloch(replicas)
     values = [0.0] * len(gaps)
-    for ell, (coeff, block) in enumerate(_terms(bloch, params)):
+    for coeff, block in _terms(bloch, params):
         steps = {h: _expm(block * h) for h in set(gaps)}
-        column = None  # e_l, so the first step is column l of its exponential
+        column = None  # e_0, so the first step is column 0 of its exponential
         for i, h in enumerate(gaps):
-            column = steps[h][:, ell] if column is None else steps[h] @ column
+            column = steps[h][:, 0] if column is None else steps[h] @ column
             values[i] += coeff @ column
     at_zero = float(np.prod(0.5 * (1.0 + bloch[:, 2])))
     return np.array([_as_probability(at_zero if t == 0.0 else v) for t, v in zip(times, values)])
@@ -260,7 +257,7 @@ def _zero_cutoff(params: ModelParams) -> float:
 def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
     """Decay rates actually present in the moment curve, slowest first.
 
-    Expands each term c_l @ exp(B_l t) e_l of :func:`finite_time_moment`
+    Expands each term c_l @ exp(B_l t) e_0 of :func:`finite_time_moment`
     over the eigenmodes of B_l and keeps the rates (-Re mu) of modes whose
     weight is non-negligible, dropping modes that do not decay: the
     stationary mode, and at gamma = 0 the undamped rotations, whose
@@ -268,9 +265,8 @@ def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
     its rates once, so rates that the dense generator repeats across copies of
     the same l appear once here.
 
-    The reflection P|m> = (-1)^m |-m> commutes with B_l and fixes e_l, so
-    exp(B_l t) e_l stays in P's even sector and only its l + 1 modes carry
-    weight; only that sector is diagonalized.  At strong noise the full
+    The blocks are the even sectors of the full ones, so only the l + 1
+    modes that carry weight are diagonalized.  At strong noise a full
     block's +-m pairs split below rounding, and an eigensolver would return
     an arbitrary mix of their even and odd modes, whose weights straddle the
     cut by chance.
@@ -286,13 +282,11 @@ def moment_decay_rates(spec: MomentSpec, params: ModelParams) -> np.ndarray:
     terms = list(_terms(_signed_bloch(_spec_replicas(spec)), params))
     cut = _REL_WEIGHT_TOL * sum(np.linalg.norm(coeff) for coeff, _ in terms)
     rates = [np.zeros(0)]
-    for ell, (coeff, block) in enumerate(terms):
+    for coeff, block in terms:
         if np.linalg.norm(coeff) <= cut:
             continue
-        even = _even_sector(ell)
-        mu, modes = np.linalg.eig(even.T @ block @ even)
-        # e_l is the sector's first basis vector
-        weights = np.abs((coeff @ even @ modes) * np.linalg.solve(modes, np.eye(len(mu))[:, 0]))
+        mu, modes = np.linalg.eig(block)
+        weights = np.abs((coeff @ modes) * np.linalg.solve(modes, np.eye(len(mu))[:, 0]))
         rates.append(-mu[(weights > cut) & (-mu.real > _zero_cutoff(params))].real)
     return np.sort(np.concatenate(rates))
 

@@ -93,10 +93,6 @@ class TestSpinState:
         assert SpinState.localized(WellLabel.LEFT).p_left == 1.0
         assert SpinState.localized(WellLabel.RIGHT).p_right == 1.0
 
-    def test_well_sigma_z_convention(self):
-        assert WellLabel.RIGHT.sigma_z == +1
-        assert WellLabel.LEFT.sigma_z == -1
-
 
 class TestBranch:
     def test_classification(self):
@@ -205,6 +201,27 @@ class TestClosedFormOffdiag:
         params = ModelParams(delta=1.0, gamma=1000.0)
         value = closed_form_offdiag(params, 50.0)
         assert np.isfinite(value.real) and np.isfinite(value.imag)
+
+
+@pytest.mark.parametrize("ratio", [1e2, 1e3, 1e4, 1e5, 1e6])
+def test_closed_forms_match_mpmath_at_strong_noise(ratio):
+    # root - gamma loses the slow rate delta^2/gamma to rounding when
+    # gamma >> delta; 50-digit references over both time scales, t <= 20 gamma/delta^2
+    mpmath = pytest.importorskip("mpmath")
+    delta, gamma = 1.0, ratio
+    params = ModelParams(delta=delta, gamma=gamma)
+    for t in np.geomspace(0.01 / gamma, 20.0 * gamma / delta**2, 120):
+        with mpmath.workdps(50):
+            g, d, tt = mpmath.mpf(gamma), mpmath.mpf(delta), mpmath.mpf(float(t))
+            root = mpmath.sqrt(g**2 - 4 * d**2)
+            e_fast, e_slow = mpmath.exp(-(g + root) * tt / 2), mpmath.exp((root - g) * tt / 2)
+            p_ll = 0.5 + (e_slow * (g + root) + e_fast * (root - g)) / (4 * root)
+            offdiag_imag = d / (2 * root) * (e_fast - e_slow)
+        assert abs(closed_form_p_ll(params, float(t)) - float(p_ll)) <= 5e-15, t
+        # the coherence peaks near delta/(2 gamma); judge it on that scale
+        offdiag = closed_form_offdiag(params, float(t))
+        assert offdiag.real == 0.0
+        assert abs(offdiag.imag - float(offdiag_imag)) <= 5e-15 * delta / gamma, t
 
 
 def _laplace_quadrature(func, lam: float) -> float:

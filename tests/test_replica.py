@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from dense_oracles import _spec_vectors, eig_moment, resolvent_moment, spectrum
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from replica_lab.model import (
@@ -46,6 +47,55 @@ RATIOS = (0.05, 1.0, 2.0, 20.0)
 def _random_state(rng: np.random.Generator) -> SpinState:
     z = rng.normal(size=4)
     return SpinState.normalized(complex(z[0], z[1]), complex(z[2], z[3]))
+
+
+def _full_block(ell: int, params: ModelParams) -> np.ndarray:
+    """Degree-ell block on |l, m>, m = -l..l: diag(i^m)^-1 (-(i delta/2)(J+ + J-) - gamma diag(m^2)) diag(i^m)."""
+    m = np.arange(-ell, ell + 1)
+    up = np.diag(np.sqrt(ell * (ell + 1) - m[:-1] * (m[:-1] + 1.0)), -1)
+    generator = -0.5j * params.delta * (up + up.T) - params.gamma * np.diag(m**2.0)
+    quarter = np.array([1, 1j, -1, -1j])[m % 4]
+    full = quarter.conj()[:, None] * generator * quarter[None, :]
+    assert np.all(full.imag == 0.0)
+    return full.real
+
+
+def _even_columns(ell: int) -> np.ndarray:
+    """Q: columns |l, 0> and (|m> + (-1)^m |-m>)/sqrt(2), m = 1..l, on |l, m>, m = -l..l."""
+    q = np.zeros((2 * ell + 1, ell + 1))
+    q[ell, 0] = 1.0
+    m = np.arange(1, ell + 1)
+    q[ell + m, m] = math.sqrt(0.5)
+    q[ell - m, m] = (-1.0) ** m * math.sqrt(0.5)
+    return q
+
+
+def _full_block_curve(replicas, params: ModelParams, times) -> np.ndarray:
+    """The moment at each time from full (2l+1)-blocks, one scipy expm per time and node.
+
+    c_l = (2l+1)/(4 pi) int F(u) b_l(u) dOmega on the Gauss-Legendre times
+    trapezoid grid, with b_l(u) = exp(theta_u (-i J_y))[:, l] cos(m (phi_u - pi/2)),
+    and the moment is sum_l c_l @ exp(B_l t)[:, l]; no reflection is used.
+    """
+    bloch = replica._signed_bloch(replicas)
+    n = len(bloch)
+    cos_t, weights = np.polynomial.legendre.leggauss(n + 1)
+    phi = 2.0 * np.pi * np.arange(2 * n + 1) / (2 * n + 1)
+    values = np.zeros(len(times))
+    for ell in range(n + 1):
+        m = np.arange(-ell, ell + 1)
+        turn = _full_block(ell, ModelParams(delta=1.0, gamma=0.0))
+        block = _full_block(ell, params)
+        coeff = np.zeros(2 * ell + 1)
+        for theta, weight in zip(np.arccos(cos_t), weights):
+            u = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                          np.full_like(phi, np.cos(theta))])
+            product = np.prod(0.5 * (1.0 + bloch @ u), axis=0)
+            fourier = np.cos(np.outer(m, phi - 0.5 * np.pi)) @ product
+            coeff += weight * scipy.linalg.expm(theta * turn)[:, ell] * fourier
+        coeff *= (2 * ell + 1) / (2.0 * len(phi))
+        values += [coeff @ scipy.linalg.expm(block * t)[:, ell] for t in times]
+    return values
 
 
 def _double_factorial(k: int) -> int:
@@ -277,17 +327,17 @@ class TestFiniteTimeMoment:
 
     @pytest.mark.parametrize("gamma", RATIOS)
     def test_blocks_are_quarter_turned_generator_blocks(self, gamma):
-        # diag(i^m)^-1 (-(i delta/2)(J+ + J-) - gamma diag(m^2)) diag(i^m) is real
+        # the even block is the full quarter-turned block on the reflection-even
+        # sector, and that sector is invariant: G Q = Q B.  Both hold to rounding
+        # of the largest entry, up to gamma l^2 = 8000, since sqrt(1/2)^2 != 1/2.
         params = ModelParams(delta=1.0, gamma=gamma)
         for ell in range(MAX_MOMENT_ORDER + 1):
-            m = np.arange(-ell, ell + 1)
-            up = np.diag(np.sqrt(ell * (ell + 1) - m[:-1] * (m[:-1] + 1.0)), -1)
-            generator = -0.5j * params.delta * (up + up.T) - gamma * np.diag(m**2.0)
-            quarter = np.array([1, 1j, -1, -1j])[m % 4]
-            expected = quarter.conj()[:, None] * generator * quarter[None, :]
+            full, even = _full_block(ell, params), _even_columns(ell)
             block = _block(ell, params)
-            assert block.dtype == np.float64
-            assert np.max(np.abs(block - expected)) <= 1e-15
+            assert block.dtype == np.float64 and block.shape == (ell + 1, ell + 1)
+            scale = np.abs(full).max()
+            assert np.max(np.abs(block - even.T @ full @ even)) <= 1e-15 * scale
+            assert np.max(np.abs(full @ even - even @ block)) <= 1e-15 * scale
 
     def test_sum_rule_past_dense_cap(self):
         # sum_k C(n, k) <P_L^k P_R^(n-k)> = <(P_L + P_R)^n> = 1 at every t
@@ -564,6 +614,25 @@ class TestMomentCurve:
             assert value == pytest.approx(mixed_initial_moment(replicas, params, t), abs=1e-14)
         assert curve[0] == mixed_initial_moment(replicas, params, 0.0)
 
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_even_sector_walk_matches_full_blocks(self, gamma):
+        # past the dense oracle's n <= 4: the projection and walk on the even
+        # sector against full (2l+1)-blocks projected without the reflection.
+        # Seed 71 was fixed before any run.
+        params = ModelParams(delta=1.0, gamma=gamma)
+        rng = np.random.default_rng(71)
+        times = [0.3, 0.3, 1.7, 4.0]
+        for order in range(5, MAX_MOMENT_ORDER + 1):
+            state = _random_state(rng)
+            n_left = int(rng.integers(order + 1))
+            spec = MomentSpec(state, n_left, order - n_left)
+            expected = _full_block_curve(replica._spec_replicas(spec), params, [1.7])[0]
+            assert finite_time_moment(spec, params, 1.7) == pytest.approx(expected, abs=1e-13)
+            replicas = [(_random_state(rng), WellLabel(w)) for w in rng.choice(["left", "right"], order)]
+            expected = _full_block_curve(replicas, params, times)
+            curve = replica.moment_curve(replicas, params, times)
+            assert np.max(np.abs(curve - expected)) <= 1e-13, order
+
     def test_decay_curve_matches_closed_form(self):
         params = ModelParams(delta=1.0, gamma=0.7)
         times = np.linspace(0.0, 10.0, 201)
@@ -624,14 +693,20 @@ class TestSpectrum:
             full = np.linalg.eigvals(build_generator(n, params))
             # the top degree l = n occurs once
             mult = [math.comb(2 * n, n - ell) - math.comb(2 * n, n - ell - 1) for ell in range(n)] + [1]
-            blocks = np.concatenate(
-                [np.repeat(np.linalg.eigvals(_block(ell, params)), k) for ell, k in enumerate(mult)]
-            )
+            block_eigs = [np.linalg.eigvals(_full_block(ell, params)) for ell in range(n + 1)]
+            blocks = np.concatenate([np.repeat(eigs, k) for eigs, k in zip(block_eigs, mult)])
             assert len(blocks) == 4**n
             rows, cols = linear_sum_assignment(np.abs(full[:, None] - blocks[None, :]))
             gap = np.max(np.abs(full[rows] - blocks[cols]))
             # the defective B_1 at gamma = 2 delta splits by sqrt(eps)
-            assert gap < (1e-7 if gamma == 2.0 else 1e-12 * np.max(np.abs(full))), (n, gap)
+            tol = 1e-7 if gamma == 2.0 else 1e-12 * np.max(np.abs(full))
+            assert gap < tol, (n, gap)
+            # the even blocks' eigenvalues are a sub-multiset of the full blocks'
+            for ell, eigs in enumerate(block_eigs):
+                even = np.linalg.eigvals(_block(ell, params))
+                rows, cols = linear_sum_assignment(np.abs(even[:, None] - eigs[None, :]))
+                assert len(rows) == ell + 1
+                assert np.max(np.abs(even[rows] - eigs[cols])) < tol, (n, ell)
 
 
 class TestMomentDecayRates:
@@ -710,14 +785,7 @@ class TestMomentDecayRates:
         # moves by 1e-12.  Seeds 1004..1008 were fixed before any run.
         params = ModelParams(delta=1.0, gamma=gamma)
         nudged = ModelParams(delta=1.0, gamma=gamma * (1.0 + 1e-12))
-        even_rates = {}
-        for ell in range(1, 9):
-            m = np.arange(-ell, ell + 1)
-            reflection = np.zeros((len(m), len(m)))
-            reflection[ell - m, ell + m] = (-1.0) ** m
-            sign, vecs = np.linalg.eigh(reflection)
-            even = vecs[:, sign > 0]
-            even_rates[ell] = -np.linalg.eigvals(even.T @ _block(ell, params) @ even).real
+        even_rates = {ell: -np.linalg.eigvals(_block(ell, params)).real for ell in range(1, 9)}
         for order in range(4, 9):
             rng = np.random.default_rng(1000 + order)
             for _ in range(3):
@@ -781,9 +849,10 @@ class TestPermutationSymmetry:
 
 
 class TestExpm:
-    # 40-digit mpmath references: the rotation at gamma = 0, where scipy 1.17's
-    # real expm was 3.2e-14 off at delta t = 4; blocks of degree 3 and 20; and
-    # a strongly damped block, where squaring exp(A/2^s) itself was 1.1e-12 off
+    # 40-digit mpmath references on the even blocks: the rotation at gamma = 0,
+    # where scipy 1.17's real expm was 3.7e-14 off at delta t = 4; blocks of
+    # degree 3 and 20; and a strongly damped block, where squaring exp(A/2^s)
+    # itself was 9.6e-13 off
     @pytest.mark.parametrize(
         "ell,gamma,t",
         [(1, 0.0, 4.0), (1, 0.0, 20.0), (3, 20.0, 20.0), (20, 0.05, 5.0), (20, 20.0, 0.5),
