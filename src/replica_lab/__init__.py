@@ -24,6 +24,7 @@ from .model import (
 from .replica import (
     MomentSpec,
     NoStationaryLimitError,
+    discrete_time_moment,
     finite_time_moment,
     infinite_time_moment,
     mixed_initial_moment,

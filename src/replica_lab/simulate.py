@@ -4,13 +4,23 @@ Each trajectory holds the real Bloch vector r = (x, y, z) of its pure state
 a|L> + b|R>, with x + iy = 2 a b* and z = |a|^2 - |b|^2, so P_left =
 (1 + z)/2 and the coherence a b* = (x + iy)/2.  The global phase of (a, b)
 is not part of r.  A Strang-split step is a half tunneling rotation of (y, z)
-by delta*dt/2, a Gaussian phase kick that rotates (x, y) by 2*kick*g, and
-another half rotation.  Every factor is an exact rotation, so |r| = 1
-survives to machine precision for any step size.  The phase-kick angle
-accumulated over one step is exactly Gaussian with variance gamma*dt/2, which
-reproduces the averaged coherence decay e^{-gamma t} exactly at any dt when
-delta = 0; the only discretization bias is the O(dt^2) splitting error of the
-mean dynamics.
+by delta*dt/2, a phase kick that rotates (x, y) by 2*kick*z, and another
+half rotation, with kick = sqrt(gamma*dt/2).  Every factor is an exact
+rotation, so |r| = 1 survives to machine precision for any step size.
+
+The kick value z is drawn from a 256-point table, not from a normal: the
+points are the midpoint normal quantiles q_j = Phi^{-1}((j + 1/2)/256),
+mapped by z = q (a + b q^2 + c q^4) so that the law is symmetric and its
+2nd, 4th and 6th moments are exactly 1, 3 and 15, those of the standard
+normal.  The noise-averaged step depends on the kick law only through
+phi(m) = E[e^{i m alpha}] of the angle alpha = 2*kick*z, so this law gives
+the Gaussian e^{-gamma m^2 dt} up to a relative error of the rate of order
+(gamma dt)^3 m^6: 1e-7 at gamma dt = 1e-3 and 1e-4 at the dt cap 1e-2 for
+m <= 6, far below the O(dt^2) splitting error of the mean dynamics, which is
+the scheme's only other bias (P. E. Kloeden and E. Platen, Numerical
+Solution of Stochastic Differential Equations (1992), sec. 14.2, on weak
+schemes with discrete increments).  A draw is one random byte that indexes
+the 256 kick factors e^{2i kick z_j}, built once per block.
 
 One block kernel (``_advance``) steps every run: ensembles, paired runs,
 single trajectories and ``step``.  It merges the closing half rotation of a
@@ -26,17 +36,18 @@ place; a one-element view goes through a contiguous scratch and is copied
 back, because numpy's in-place multiply on one strided element takes another
 loop and changes the last bits.  So a pair of one trajectory per member turns
 its kicks through the scratch and its two-element tunneling view in place.
-The kick factors come from bulk tables.  ``SpinState`` appears only at the
-API boundary.  A block's working memory is bounded whatever its run length
-and number of record times: kick half-angles go step-major into one slab of
-at most 64 steps, a paired block's members share one table of kick factors,
-and each record is summed over the columns when taken; a block of 1024
-trajectories needs about 1 MB beyond its state and record sums.
+The kick factors are looked up in bulk tables.  ``SpinState`` appears only
+at the API boundary.  A block's working memory is bounded whatever its run
+length and number of record times: the kick bytes go step-major into one
+slab of at most 64 steps, a paired block's members share one table of kick
+factors, and each record is summed over the columns when taken; a block of
+1024 trajectories needs about 0.5 MB beyond its state and record sums.
 
 Noise streams are counter-based and keyed per group of 64 trajectories:
-trajectory i reads column i % 64 of the standard normals of Philox keyed by
-(seed, i // 64), which fill one 64-wide row per step, so its k-th draw is
-element 64 k + i % 64 of that sequence (J. K. Salmon et al., SC11 (2011)).
+trajectory i reads column i % 64 of the raw bytes of Philox keyed by
+(seed, i // 64), little-endian 64-bit words that fill one 64-byte row per
+step, so its k-th draw is byte 64 k + i % 64 of that sequence (J. K. Salmon
+et al., SC11 (2011)); raw words need no rejection, so the offset is fixed.
 The draw is a pure function of (seed, trajectory_id, k), independent of
 scheduling, block size, or worker count, which makes runs bit-reproducible on
 a host and lets paired runs consume the identical field realization (common
@@ -52,6 +63,7 @@ REPLICA_LAB_THREADS environment variable (0 = one per usable CPU, unset = serial
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -64,16 +76,18 @@ from .model import ModelParams, SpinState, _bloch, _check_int, _check_real
 from .stats import mean_se
 
 BLOCK_TRAJECTORIES = 1024
-_GROUP_WIDTH = 64  # trajectories per Philox stream; divides BLOCK_TRAJECTORIES
+_GROUP_WIDTH = 64  # trajectories per Philox stream, one byte each per step; divides BLOCK_TRAJECTORIES
 # Working memory of one block, whatever its number of steps: about
-# _SLAB_STEPS + (4 + 4 * members) * _TRIG_STEPS doubles per trajectory (1 MB
-# at 1024 trajectories, 1.25 MB for a pair): the slab, the complex kick table
-# and its two real temporaries, and the state path of a table with its
-# norm_sq, plus one group's _SLAB_STEPS rows of draws, on top of the block's
-# state and record sums and whatever the process running it holds.  Both
-# sizes only chunk the same arithmetic, so no output depends on them.
-_SLAB_STEPS = 64  # steps per step-major slab of kick half-angles
+# _SLAB_STEPS bytes + (3 + 4 * members) * _TRIG_STEPS doubles per trajectory
+# (0.5 MB at 1024 trajectories, 0.75 MB for a pair): the byte slab, the
+# complex kick table and the lookup's index array, and the state path of a
+# table with its norm_sq, plus one group's _SLAB_STEPS rows of bytes, on top
+# of the block's state and record sums and whatever the process running it
+# holds.  Both sizes only chunk the same arithmetic, so no output depends on
+# them.
+_SLAB_STEPS = 64  # steps per step-major slab of kick bytes
 _TRIG_STEPS = 8  # steps per bulk table of kick factors
+_KICK_POINTS = 256  # one per value of a byte
 
 _DRIFT_BUDGET_PER_STEP = 1e-12
 
@@ -167,18 +181,49 @@ class PulseSpec:
         _check_real("t0", self.t0, 0)
 
 
+@functools.cache
+def _kick_points() -> np.ndarray:
+    """The 256 equiprobable kick values z_j, ascending: byte j draws z_j.
+
+    z_j = q_j (a + b q_j^2 + c q_j^4) with q_j = Phi^{-1}((j + 1/2)/256), the
+    midpoint normal quantiles; Newton's method on (a, b, c) makes the 2nd,
+    4th and 6th moments 1, 3 and 15 (a, b, c = 1.02396407, -0.02213078,
+    0.00323375).  The lower half mirrors the upper one, so the law is
+    exactly symmetric.  Built once per process.
+    """
+    from statistics import NormalDist  # looked up here: only a run that draws loads it
+
+    # the law is symmetric: fit on the upper half, whose even moments are the law's
+    quantile = NormalDist().inv_cdf
+    q = np.array([quantile((j + 0.5) / _KICK_POINTS) for j in range(_KICK_POINTS // 2, _KICK_POINTS)])
+    powers = q ** np.array([[1], [3], [5]])  # z = coef @ powers
+    orders = np.array([2, 4, 6])
+    target = np.array([1.0, 3.0, 15.0])
+    coef = np.array([1.0, 0.0, 0.0])
+    for _ in range(8):
+        z = coef @ powers
+        residual = (z ** orders[:, None]).mean(axis=1) - target
+        jacobian = (orders[:, None, None] * z ** (orders - 1)[:, None, None] * powers).mean(axis=2)
+        coef -= np.linalg.solve(jacobian, residual)
+    z = coef @ powers
+    return np.concatenate([-z[::-1], z])
+
+
 @dataclass
 class NoiseStream:
-    """Counter-based normal stream of one trajectory.
+    """Counter-based byte stream of one trajectory: the indices of its kick values.
 
-    Draw k of trajectory i is element 64 k + i % 64 of the normals of Philox
-    keyed (seed, i // 64), a pure function of (seed, trajectory_id, k).  The
-    group's stream fills whole 64-wide rows, so one trajectory's stream
-    generates 64 normals per step and keeps one: a single run draws 64 times
-    the noise it uses, and an ensemble's partial last group up to that.
+    Draw k of trajectory i is byte 64 k + i % 64 of the raw output of Philox
+    keyed (seed, i // 64), read as little-endian 64-bit words: a pure
+    function of (seed, trajectory_id, k).  The group's stream fills whole
+    64-byte rows of 8 words, so one trajectory's stream generates 8 words
+    per step and keeps one byte; an ensemble's partial last group pays up to
+    that too.
 
-    The ensemble blocks pass the keyword ``width`` to cover that many
-    adjacent trajectories of one group; ``normals(count)`` then hands over
+    ``indices(count)`` hands over the next count bytes; ``normals(count)``
+    the kick values z_j they select, the 256-point law's values at the same
+    draws.  The ensemble blocks pass the keyword ``width`` to cover that
+    many adjacent trajectories of one group; both methods then hand over
     the next count / width steps, row-major.
     """
 
@@ -186,23 +231,26 @@ class NoiseStream:
     trajectory_id: int
     width: int = field(default=1, kw_only=True)
     _col: int = field(init=False, repr=False)  # the first column within the group
-    _gen: np.random.Generator = field(init=False, repr=False)
+    _bits: np.random.Philox = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_int("seed", self.seed, 0, _KEY_MAX)
         _check_int("trajectory_id", self.trajectory_id, 0, _KEY_MAX)
         group, self._col = divmod(int(self.trajectory_id), _GROUP_WIDTH)
         _check_int("width", self.width, 1, _GROUP_WIDTH - self._col)
-        key = np.array([self.seed, group], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._bits = np.random.Philox(key=np.array([self.seed, group], dtype=np.uint64))
 
-    def normals(self, count: int) -> np.ndarray:
+    def indices(self, count: int) -> np.ndarray:
         rows, rest = divmod(count, self.width)
         if rest:
             raise ValueError(f"count must be a multiple of width={self.width}, got {count}")
-        draws = self._gen.standard_normal(rows * _GROUP_WIDTH)
+        words = self._bits.random_raw(rows * _GROUP_WIDTH // 8).astype("<u8", copy=False)
+        draws = words.view(np.uint8).reshape(rows, _GROUP_WIDTH)
         # a whole group's columns are contiguous, so ravel returns a view, not a copy
-        return draws.reshape(rows, _GROUP_WIDTH)[:, self._col : self._col + self.width].ravel()
+        return draws[:, self._col : self._col + self.width].ravel()
+
+    def normals(self, count: int) -> np.ndarray:
+        return _kick_points()[self.indices(count)]
 
 
 @dataclass(frozen=True)
@@ -334,43 +382,22 @@ class _StateBlock:
         self.drift = max(self.drift, float(norm_sq.max()) - 1.0, 1.0 - float(norm_sq.min()))
 
 
-def _kick_slabs(streams: Sequence, n: int, n_steps: int, kick: float) -> Iterator[np.ndarray]:
-    """Kick half-angles kick*g of every step in step-major (steps, n) slabs: row j is one step.
+def _kick_slabs(streams: Sequence, n: int, n_steps: int) -> Iterator[np.ndarray]:
+    """Kick bytes of every step in step-major (steps, n) uint8 slabs: row j is one step.
 
     Stream j feeds columns 64 j .. min(64 j + 64, n) - 1, the layout of a
     block's groups; per slab of at most _SLAB_STEPS steps it hands over
-    steps * width draws, row-major, through ``normals(count)``, which land
-    scaled in the slab.  The slabs share one buffer: a slab is valid until
-    the next one is drawn.
+    steps * width bytes, row-major, through ``indices(count)``.  The slabs
+    share one buffer: a slab is valid until the next one is drawn.
     """
     cols = range(0, n, _GROUP_WIDTH)
-    slab = np.empty((min(_SLAB_STEPS, n_steps), n))
+    slab = np.empty((min(_SLAB_STEPS, n_steps), n), np.uint8)
     for k in range(0, n_steps, _SLAB_STEPS):
-        angles = slab[: min(_SLAB_STEPS, n_steps - k)]
+        draws = slab[: min(_SLAB_STEPS, n_steps - k)]
         for stream, col in zip(streams, cols, strict=True):
-            group = angles[:, col : col + _GROUP_WIDTH]
-            draws = stream.normals(group.size)
-            np.multiply(draws.reshape(group.shape), kick, out=group)
-        yield angles
-
-
-def _kick_table(t: np.ndarray, kicks: np.ndarray, t_sq: np.ndarray, denom: np.ndarray) -> None:
-    """Kick factors e^{2i kick g} from slab rows t of half-angles kick*g; clobbers t.
-
-    With t = tan(kick*g), cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2): one
-    vectorized tan costs less than a cos and a sin, and the pair has unit
-    norm to rounding for any t.  The two divides write the real and the
-    imaginary parts of the complex (steps, n) table ``kicks``; every other
-    array is a contiguous real (steps, n) block, so every block width runs
-    the same tan loop.
-    """
-    np.tan(t, out=t)
-    np.multiply(t, t, out=t_sq)
-    np.add(t_sq, 1.0, out=denom)
-    np.subtract(1.0, t_sq, out=t_sq)
-    np.divide(t_sq, denom, out=kicks.real)
-    np.add(t, t, out=t)
-    np.divide(t, denom, out=kicks.imag)
+            group = draws[:, col : col + _GROUP_WIDTH]
+            group[...] = stream.indices(group.size).reshape(group.shape)
+        yield draws
 
 
 def _turn(view: np.ndarray, factor, scratch: Optional[np.ndarray]) -> None:
@@ -391,15 +418,22 @@ def _turn(view: np.ndarray, factor, scratch: Optional[np.ndarray]) -> None:
 
 
 def _advance(
-    params: ModelParams, dt: float, n_steps: int, streams: Sequence, block: _StateBlock
+    params: ModelParams,
+    dt: float,
+    n_steps: int,
+    streams: Sequence,
+    block: _StateBlock,
+    points: Optional[np.ndarray] = None,
 ) -> None:
     """March a block through n_steps Strang steps; stream j feeds columns 64 j.. of every member.
 
     One step is a tunneling rotation of (y, z) by delta*dt/2, a kick rotation
-    of (x, y) by 2*kick*g, and another half rotation.  A tunneling rotation
-    is one ``_turn`` of the block's flat y + iz, a kick rotation one of each
-    member's flat x + iy by that step's (n,) row of a bulk table of
-    _TRIG_STEPS steps; one-element views go through the block's scratch, so
+    of (x, y) by 2*kick*z, and another half rotation.  The kick value z is
+    ``points[j]`` for a drawn byte j, by default the 256-point law.  A
+    tunneling rotation is one ``_turn`` of the block's flat y + iz, a kick
+    rotation one of each member's flat x + iy by that step's (n,) row of a
+    bulk table of _TRIG_STEPS steps, looked up from the factors
+    e^{2i kick z_j}; one-element views go through the block's scratch, so
     that a block of one trajectory keeps the bits of its column in a wide
     block.  The closing half of a step and the opening half of the next
     merge into one full rotation; the halves stay apart only around a stop
@@ -413,11 +447,11 @@ def _advance(
     half, full = 0.5 * params.delta * dt, params.delta * dt
     f_half, f_full = cmath.rect(1.0, half), cmath.rect(1.0, full)
     kick = math.sqrt(0.5 * params.gamma * dt)
+    factors = np.exp(2j * kick * (_kick_points() if points is None else points))
 
     u, members, scratch = block.u, block.members, block.scratch
     rows = min(_TRIG_STEPS, n_steps)
     kicks = np.empty((rows, n), complex)
-    t_sq, denom = np.empty((rows, n)), np.empty((rows, n))
     path = np.empty((rows,) + block.s.shape)  # the state after each step of the table
     norm_sq = np.empty((rows, len(block.s)))
     stops = iter(block.stops(n_steps))
@@ -425,10 +459,12 @@ def _advance(
     whole = True  # the state sits on a step boundary: open with a half rotation
 
     k = 0
-    for angles in _kick_slabs(streams, n, n_steps, kick):
-        for lo in range(0, len(angles), rows):
-            m = min(rows, len(angles) - lo)
-            _kick_table(angles[lo : lo + m], kicks[:m], t_sq[:m], denom[:m])
+    for draws in _kick_slabs(streams, n, n_steps):
+        for lo in range(0, len(draws), rows):
+            m = min(rows, len(draws) - lo)
+            # every byte drawn indexes a factor (``step`` draws only byte 0), and
+            # "wrap" skips the buffered copy that the default "raise" makes
+            np.take(factors, draws[lo : lo + m], out=kicks[:m], mode="wrap")
             for j in range(m):
                 if whole:
                     _turn(u, f_half, scratch)
@@ -453,21 +489,18 @@ def _check_drift(drift: float, n_steps: int) -> float:
     return drift
 
 
-class _GivenNormals:
-    """A stream of one trajectory that hands out fixed draws, for stepping by given kicks."""
+class _FirstPoint:
+    """A stream of one trajectory that draws byte 0 at every step, for a kick table of one value."""
 
-    def __init__(self, draws: np.ndarray):
-        self._draws = draws
-
-    def normals(self, count: int) -> np.ndarray:
-        return self._draws[:count]
+    def indices(self, count: int) -> np.ndarray:
+        return np.zeros(count, np.uint8)
 
 
 def step(state: SpinState, params: ModelParams, dt: float, gauss: float) -> SpinState:
-    """One Strang-split step by the block kernel: half rotation, phase kick, half rotation."""
+    """One Strang-split step by the block kernel with the given kick value: half rotation, kick, half rotation."""
     _check_real("dt", dt, 0, strict=True)
     block = _StateBlock(1, [state], np.empty(0, dtype=int))
-    _advance(params, dt, 1, [_GivenNormals(np.array([float(gauss)]))], block)
+    _advance(params, dt, 1, [_FirstPoint()], block, np.array([float(gauss)]))
     return _spin_state(block.s[0])
 
 

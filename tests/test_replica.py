@@ -27,6 +27,7 @@ from replica_lab.replica import (
     _block,
     _expm,
     build_generator,
+    discrete_time_moment,
     evolve,
     finite_time_moment,
     infinite_time_moment,
@@ -644,6 +645,70 @@ class TestMomentCurve:
     def test_times_refused(self, times):
         with pytest.raises(ValueError, match="time"):
             replica.moment_curve([(LEFT, WellLabel.LEFT)], ModelParams(1.0, 1.0), times)
+
+
+class TestDiscreteTimeMoment:
+    @staticmethod
+    def _dense_strang(spec, params, dt, n_steps, phi):
+        # oracle on the 4^n path-pair space, no l-blocks: the tunneling half
+        # step exp(G_tun dt/2), the kick's average phi(|xi|) on each pair
+        # state of net separation xi, and another half step
+        v0, sel = _pair_vectors(replica._spec_replicas(spec))
+        tunneling = build_generator(spec.n_pairs, ModelParams(delta=params.delta, gamma=0.0))
+        separation = np.sqrt(-build_generator(spec.n_pairs, ModelParams(delta=0.0, gamma=1.0)).diagonal().real)
+        half = scipy.linalg.expm(0.5 * dt * tunneling)
+        one_step = half @ (phi(np.rint(separation))[:, None] * half)
+        return (sel @ np.linalg.matrix_power(one_step, n_steps) @ v0).real
+
+    @pytest.mark.parametrize("gamma", RATIOS)
+    def test_matches_dense_strang_walk(self, gamma):
+        # coarse steps, orders 1-4, the Gaussian law and a three-point law
+        # (0 and +-theta, w.p. 1/3 each); seed 13 was fixed before any run
+        params = ModelParams(delta=1.0, gamma=gamma)
+        dt, n_steps = 0.3, 7
+        three_point = lambda m: (1.0 + 2.0 * np.cos(1.1 * m)) / 3.0
+        gaussian = lambda m: np.exp(-gamma * dt * m**2)
+        rng = np.random.default_rng(13)
+        for order in range(1, 5):
+            n_left = int(rng.integers(order + 1))
+            spec = MomentSpec(_random_state(rng), n_left, order - n_left)
+            for phi, given in ((gaussian, None), (three_point, three_point)):
+                expected = self._dense_strang(spec, params, dt, n_steps, phi)
+                value = discrete_time_moment(spec, params, dt, n_steps, given)
+                assert value == pytest.approx(expected, abs=1e-13), (order, given)
+
+    def test_strang_bias_is_second_order(self):
+        # the bias against the continuous moment falls 4x when dt halves
+        params = ModelParams(delta=1.0, gamma=1.0)
+        t = 3.0
+        for state in (LEFT, SpinState.normalized(0.6, 0.8j)):
+            for order in range(1, 5):
+                spec = MomentSpec(state, order, 0)
+                exact = finite_time_moment(spec, params, t)
+                bias = [
+                    discrete_time_moment(spec, params, dt, round(t / dt)) - exact
+                    for dt in (0.02, 0.01, 0.005)
+                ]
+                for coarse, fine in zip(bias, bias[1:]):
+                    assert 3.5 <= coarse / fine <= 4.5, (order, bias)
+
+    def test_tends_to_continuous_moment(self):
+        params = ModelParams(delta=1.0, gamma=2.0)
+        spec = MomentSpec(SpinState.normalized(0.6, 0.8j), 2, 1)
+        exact = finite_time_moment(spec, params, 1.5)
+        assert discrete_time_moment(spec, params, 1e-3, 1500) == pytest.approx(exact, abs=1e-6)
+
+    def test_zero_steps_is_initial_product(self):
+        spec = MomentSpec(SpinState.normalized(0.6, 0.8j), 2, 1)
+        params = ModelParams(delta=1.0, gamma=1.0)
+        assert discrete_time_moment(spec, params, 0.1, 0) == finite_time_moment(spec, params, 0.0)
+
+    @pytest.mark.parametrize(
+        "dt,n_steps,name", [(0.0, 1, "dt"), (math.nan, 1, "dt"), (0.1, -1, "n_steps"), (0.1, 1.5, "n_steps")]
+    )
+    def test_bad_step_refused(self, dt, n_steps, name):
+        with pytest.raises(ValueError, match=name):
+            discrete_time_moment(MomentSpec(LEFT, 1, 0), ModelParams(1.0, 1.0), dt, n_steps)
 
 
 class TestSpectrum:

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from replica_lab.model import (
     closed_form_offdiag,
     closed_form_p_ll,
 )
-from replica_lab.replica import MomentSpec, finite_time_moment
+from replica_lab.replica import MomentSpec, discrete_time_moment, finite_time_moment
 from replica_lab.simulate import (
     NoiseStream,
     NormDriftError,
@@ -32,6 +33,19 @@ RIGHT = SpinState.localized(WellLabel.RIGHT)
 PLUS = SpinState.normalized(1.0, 1.0)
 MINUS = SpinState.normalized(1.0, -1.0)
 RANDOM = SpinState.normalized(0.3 - 0.8j, -0.5 + 0.1j)
+
+
+def philox_bytes(seed, group, rows):
+    """(rows, 64) raw bytes of Philox keyed (seed, group), each word's low byte first."""
+    words = np.random.Philox(key=[seed, group]).random_raw(8 * rows)
+    shifts = np.arange(0, 64, 8, dtype=np.uint64)
+    return ((words[:, None] >> shifts) & np.uint64(0xFF)).astype(np.uint8).reshape(rows, 64)
+
+
+def table_phi(gamma, dt):
+    """phi(m) = E[e^{i m alpha}] of the kick angle alpha = 2 kick z under the 256-point law."""
+    alpha = 2.0 * math.sqrt(0.5 * gamma * dt) * sim._kick_points()
+    return lambda m: np.cos(np.outer(m, alpha)).mean(axis=1)
 
 
 def complex_strang(state, params, dt, normals, record_steps, pulse=None):
@@ -201,21 +215,23 @@ class TestNoiseStream:
 
     @pytest.mark.parametrize("trajectory_id", [0, 7, 63, 64, 2099])
     def test_trajectory_reads_one_column_of_its_group_stream(self, trajectory_id):
-        # draw k of trajectory i is element 64 k + i % 64 of the normals of
-        # Philox keyed (seed, i // 64): a drift here re-rolls every fixed-seed result
+        # draw k of trajectory i is byte 64 k + i % 64 of the raw words of
+        # Philox keyed (seed, i // 64), little-endian, and its kick value is
+        # that byte's point of the law: a drift here re-rolls every fixed-seed result
         seed, k = 123, 50
-        gen = np.random.Generator(np.random.Philox(key=[seed, trajectory_id // 64]))
-        expected = gen.standard_normal(64 * k).reshape(k, 64)[:, trajectory_id % 64]
-        assert np.array_equal(NoiseStream(seed, trajectory_id).normals(k), expected)
+        expected = philox_bytes(seed, trajectory_id // 64, k)[:, trajectory_id % 64]
+        assert np.array_equal(NoiseStream(seed, trajectory_id).indices(k), expected)
+        assert np.array_equal(NoiseStream(seed, trajectory_id).normals(k), sim._kick_points()[expected])
 
     def test_group_stream_hands_over_rows_of_its_columns(self):
-        wide = NoiseStream(123, 64, width=64).normals(64 * 10).reshape(10, 64)
-        gen = np.random.Generator(np.random.Philox(key=[123, 1]))
-        assert np.array_equal(wide.ravel(), gen.standard_normal(64 * 10))
-        part = NoiseStream(123, 70, width=5).normals(5 * 10).reshape(10, 5)
+        wide = NoiseStream(123, 64, width=64).indices(64 * 10).reshape(10, 64)
+        assert np.array_equal(wide, philox_bytes(123, 1, 10))
+        part = NoiseStream(123, 70, width=5).indices(5 * 10).reshape(10, 5)
         assert np.array_equal(part, wide[:, 6:11])
+        values = NoiseStream(123, 70, width=5).normals(5 * 10).reshape(10, 5)
+        assert np.array_equal(values, sim._kick_points()[part])
         for col in (0, 6, 63):
-            assert np.array_equal(wide[:, col], NoiseStream(123, 64 + col).normals(10))
+            assert np.array_equal(wide[:, col], NoiseStream(123, 64 + col).indices(10))
 
     @pytest.mark.parametrize("trajectory_id,width", [(0, 0), (0, 65), (63, 2), (5, True)])
     def test_width_within_one_group(self, trajectory_id, width):
@@ -225,6 +241,8 @@ class TestNoiseStream:
     def test_count_in_whole_rows(self):
         with pytest.raises(ValueError, match="multiple of width"):
             NoiseStream(3, 0, width=4).normals(10)
+        with pytest.raises(ValueError, match="multiple of width"):
+            NoiseStream(3, 0, width=4).indices(10)
 
     @pytest.mark.parametrize(
         "seed,trajectory_id,name",
@@ -239,6 +257,70 @@ class TestNoiseStream:
         # a bool is an int, so True drew the stream of seed 1
         with pytest.raises(ValueError, match=name):
             NoiseStream(seed, trajectory_id)
+
+
+class TestKickLaw:
+    def test_law_is_symmetric_with_normal_moments(self):
+        z = sim._kick_points()
+        assert z.shape == (256,) and np.all(np.diff(z) > 0)
+        assert np.array_equal(z[::-1], -z)
+        for order, moment in ((2, 1.0), (4, 3.0), (6, 15.0)):
+            assert abs(np.mean(z**order) - moment) <= 1e-13, order
+
+    @pytest.mark.parametrize("gamma_dt,bound", [(1e-3, 1e-6), (1e-2, 2e-4)])
+    def test_phi_matches_gaussian_rate(self, gamma_dt, bound):
+        # the averaged kick's rate -log phi(m) against the Gaussian's gamma m^2 dt:
+        # at criterion 7's gamma dt and at the dt cap
+        m = np.arange(1, 7)
+        rate = -np.log(table_phi(1.0, gamma_dt)(m))
+        assert np.max(np.abs(rate / (gamma_dt * m**2) - 1.0)) <= bound
+
+    def test_added_bias_is_below_strang_bias(self):
+        # the exact discrete-time moments under the table law and under the
+        # Gaussian law differ by at most 5% of the Gaussian scheme's own
+        # splitting bias, for orders 1-6, at the dt cap and a tenth of it
+        states = (LEFT, SpinState.normalized(0.6, 0.8j))
+        for ratio in (0.05, 1.0, 3.0, 20.0):
+            params = ModelParams(delta=1.0, gamma=ratio)
+            cap = 0.01 * min(1.0 / ratio, 1.0)
+            for dt in (cap, cap / 10):
+                phi = table_phi(ratio, dt)
+                for t in (1.0, 3.0):
+                    n_steps = round(t / dt)
+                    for state in states:
+                        for order in range(1, 7):
+                            spec = MomentSpec(state, order, 0)
+                            gaussian = discrete_time_moment(spec, params, dt, n_steps)
+                            table = discrete_time_moment(spec, params, dt, n_steps, phi)
+                            strang = gaussian - finite_time_moment(spec, params, n_steps * dt)
+                            assert abs(table - gaussian) <= 0.05 * abs(strang) + 1e-13, (
+                                ratio, dt, t, state, order, table - gaussian, strang,
+                            )
+
+    def test_kernel_walks_the_discrete_oracle(self):
+        # every pair of kicks at once: column 256 a + b of a 65536-wide block
+        # draws byte a at step 1 and byte b at step 2, so the column average is
+        # the exact expectation under the law after two coarse steps
+        class AllPairs:
+            def __init__(self, group):
+                cols = 64 * group + np.arange(64)
+                self.rows = np.stack([cols // 256, cols % 256]).astype(np.uint8)
+
+            def indices(self, count):
+                assert count == self.rows.size
+                return self.rows.ravel()
+
+        params, dt = ModelParams(delta=1.0, gamma=3.0), 0.4
+        state = SpinState.normalized(0.8, 0.6j)
+        block = sim._StateBlock(256 * 256, [state], np.empty(0, dtype=int))
+        sim._advance(params, dt, 2, [AllPairs(g) for g in range(1024)], block)
+        p_left = block.p_left()
+        phi = table_phi(params.gamma, dt)
+        for order in range(1, 7):
+            for n_left in range(order + 1):
+                expected = discrete_time_moment(MomentSpec(state, n_left, order - n_left), params, dt, 2, phi)
+                value = np.mean(p_left**n_left * (1.0 - p_left) ** (order - n_left))
+                assert value == pytest.approx(expected, abs=1e-13), (n_left, order)
 
 
 class TestRunTrajectory:
@@ -433,7 +515,7 @@ class TestBlochKernel:
     )
     @pytest.mark.parametrize("pulse", [None, PulseSpec(1.1, 7.33)], ids=["plain", "pulse"])
     def test_matches_complex_strang_oracle(self, state, pulse):
-        # same normals, 2000 steps; records every 50 steps, so most steps run
+        # same kick values, 2000 steps; records every 50 steps, so most steps run
         # merged rotations, and the pulse at step 733 splits one mid-segment
         params = ModelParams(delta=1.0, gamma=1.0)
         cfg = SimConfig(
@@ -475,8 +557,8 @@ class TestBlochKernel:
         rng = np.random.default_rng(97)
         start = rng.standard_normal((members * n, 3))
         start /= np.linalg.norm(start, axis=1, keepdims=True)
-        kicks = np.empty((1, n), complex)
-        sim._kick_table(0.1 * rng.standard_normal((1, n)), kicks, np.empty((1, n)), np.empty((1, n)))
+        factors = np.exp(2j * 0.1 * sim._kick_points())
+        kicks = np.take(factors, rng.integers(0, 256, (1, n), dtype=np.uint8))
         pulse = sim._StateBlock(1, [PLUS], np.empty(0, dtype=int), PulseSpec(0.7, 0.0))
         scalars = [np.complex128(complex(math.cos(0.3), math.sin(0.3))), pulse.pulse_factor]
 
@@ -508,7 +590,8 @@ class TestBlochKernel:
         # record at every step, per-trajectory records took 94.7 MiB, sums
         # taken at each record 4.3 MiB.  The three runs below peaked at
         # 3.35/3.64/3.92 MiB with 256-step slabs and 16-step kick tables, and
-        # at 1.16/1.45/1.49 MiB with 64-step slabs and 8-step tables.  Each is
+        # at 1.16/1.45/1.49 MiB with 64-step slabs and 8-step tables, and at
+        # 0.60/0.98/0.92 MiB with byte slabs and table lookups.  Each is
         # traced on its second run: in a fresh process the first run of the
         # first one also loads numpy.random and peaked at 1.88 MiB
         params = ModelParams(delta=1.0, gamma=1.0)
@@ -532,8 +615,26 @@ class TestBlochKernel:
                 tracemalloc.stop()
             assert peak <= 2 * 2**20
 
+    def test_coarse_dt_mean_matches_discrete_oracle(self):
+        # past SimConfig's dt cap the splitting bias dwarfs the Monte Carlo
+        # error: the mean of P^n must sit at the table law's exact
+        # discrete-time moment, far from the continuous one.  The seed was
+        # fixed before any run.
+        params, dt, n_steps, n = ModelParams(delta=1.0, gamma=3.0), 0.4, 3, 400_000
+        state = SpinState.normalized(0.8, 0.6j)
+        cfg = types.SimpleNamespace(params=params, dt=dt, n_steps=n_steps, seed=20261021, n_trajectories=n)
+        sums, _, _ = sim._run_blocks(cfg, [state], np.array([n_steps]), None, 1)
+        phi = table_phi(params.gamma, dt)
+        for order, (total, total_sq) in ((1, sums[[0, 3], 0]), (2, sums[[3, 6], 0])):
+            mean, se = sim._sums_mean_se(total, total_sq, n)
+            spec = MomentSpec(state, order, 0)
+            z_table = (mean - discrete_time_moment(spec, params, dt, n_steps, phi)) / se
+            z_continuous = (mean - finite_time_moment(spec, params, n_steps * dt)) / se
+            assert abs(z_table) <= 4.0, (order, z_table)
+            assert abs(z_continuous) > 20.0, (order, z_continuous)
+
     def test_draws_only_through_positional_normals(self):
-        # the kernel may ask a group stream for nothing but normals(count),
+        # the kernel may ask a group stream for nothing but indices(count),
         # count a whole number of rows of at most _SLAB_STEPS steps, and must
         # take exactly one draw per trajectory per step
         class Recording:
@@ -542,9 +643,9 @@ class TestBlochKernel:
                 self.width = width
                 self.calls = []
 
-            def normals(self, *args, **kwargs):
+            def indices(self, *args, **kwargs):
                 self.calls.append((args, kwargs))
-                return self.stream.normals(*args, **kwargs)
+                return self.stream.indices(*args, **kwargs)
 
         n_steps = 2 * sim._SLAB_STEPS + 37
         streams = [Recording(0, 64), Recording(64, 3)]
